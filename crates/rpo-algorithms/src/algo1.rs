@@ -1,4 +1,5 @@
-//! Algorithm 1: optimal reliability on fully homogeneous platforms.
+//! Algorithms 1 and 2: optimal reliability on fully homogeneous platforms,
+//! without (Algorithm 1) or under (Algorithm 2) a worst-case period bound.
 //!
 //! `F(i, k)` is the optimal reliability when mapping the first `i` tasks onto
 //! exactly `k` processors; the recurrence tries every possible last interval
@@ -6,27 +7,29 @@
 //!
 //! `F(i, k) = max_{j < i, 1 ≤ q ≤ min(K,k)} F(j, k−q) · (1 − (1 − r_comm,j · Π r_l · r_comm,i)^q)`
 //!
-//! The paper only returns the optimal reliability value; this implementation
-//! additionally keeps the dynamic-programming choices and reconstructs an
-//! actual [`Mapping`] achieving it.
+//! Algorithm 2 is the same recurrence restricted to the intervals that fit
+//! the period bound, so both run through one entry point,
+//! [`SolveCtx::reliability_dp`]: `None` is Algorithm 1, `Some(bound)` is
+//! Algorithm 2. The paper only returns the optimal reliability value; this
+//! implementation additionally reconstructs an actual [`Mapping`] achieving
+//! it.
 //!
 //! # Kernel structure
 //!
-//! The dynamic program runs as a **lane-chunked kernel** ([`DpKernel::Chunked`],
-//! the default): for each row `i`, the per-`j` factored replica-block
-//! reliabilities are gathered into one contiguous scratch buffer
-//! ([`IntervalOracle::fill_class_block_row`] — pure multiplications over the
-//! oracle's `exp(−ρW_i)·exp(ρW_j)` prefixes), and the `(q, k)` max-update then
-//! runs **value-only** as branch-light fixed-width chunks of [`LANES`] plain
-//! `f64` arrays whose multiply-and-max bodies LLVM auto-vectorizes — no
-//! `unsafe`, no nightly intrinsics, no traceback bookkeeping in the hot loop
-//! (winning `(j, q)` choices are recovered afterwards along the optimal path
-//! only, by bit-exact candidate re-scan). The pre-chunking scalar sweep is
-//! kept as a reference implementation ([`DpKernel::Scalar`], selected
-//! crate-wide by the `scalar-kernel` feature); the workspace property tests
-//! assert both kernels agree within `1e-12` — and reconstruct identical
-//! mappings — on hundreds of seeded instances, and `BENCH_kernel.json`
-//! tracks their relative speed.
+//! The dynamic program runs as a **lane-chunked kernel**: for each row `i`,
+//! the per-`j` factored replica-block reliabilities are gathered into one
+//! contiguous scratch buffer ([`IntervalOracle::fill_class_block_row`] —
+//! pure multiplications over the oracle's `exp(−ρW_i)·exp(ρW_j)` prefixes),
+//! and the `(q, k)` max-update then runs **value-only** as branch-light
+//! fixed-width chunks of [`LANES`] plain `f64` arrays whose multiply-and-max
+//! bodies LLVM auto-vectorizes — no `unsafe`, no nightly intrinsics, no
+//! traceback bookkeeping in the hot loop (winning `(j, q)` choices are
+//! recovered afterwards along the optimal path only, by bit-exact candidate
+//! re-scan). The pre-chunking scalar sweep lives on as
+//! [`crate::reference::reliability_dp`]; the workspace property tests assert
+//! both agree within `1e-12` — and reconstruct identical mappings — on
+//! hundreds of seeded instances, and `BENCH_kernel.json` tracks their
+//! relative speed.
 //!
 //! All interval metrics come from the [`IntervalOracle`]; the DP tables are
 //! flat arenas indexed by `i·(p+1) + k` held in a reusable [`DpScratch`], so
@@ -40,7 +43,7 @@
 use rpo_model::{Interval, IntervalOracle, MappedInterval, Mapping, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
 
-use crate::{AlgoError, Result};
+use crate::{validate_period_bound, AlgoError, Result, SolveCtx};
 
 /// A mapping together with the reliability the dynamic program computed for it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,75 +54,20 @@ pub struct OptimalMapping {
     pub reliability: f64,
 }
 
-/// Sentinel for "no recorded choice" in the flat traceback arena. The arena
-/// stores packed `(j, q)` choices as `f64` (exact: they fit in 32 bits, far
-/// below 2^53) so the kernel's compare-and-select lanes are homogeneous
-/// `f64` operations — mixed `f64`/`u32` selects defeat LLVM's vectorizer.
-const NO_CHOICE: f64 = u32::MAX as f64;
-
 /// Chunk width of the lane-chunked max-update: eight `f64`s, i.e. two AVX2
 /// vectors or one AVX-512 vector — LLVM splits the fixed-size-array loops
 /// into whatever width the target supports.
 pub const LANES: usize = 8;
 
-/// Interval admissibility of the shared dynamic program: Algorithm 1 admits
-/// every interval, Algorithm 2 only those fitting a worst-case period bound.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum DpFilter {
-    /// Every interval is admissible (Algorithm 1).
-    All,
-    /// `max(o_in/b, W/s, o_out/b) ≤ bound` (Algorithm 2). Decomposed inside
-    /// the DP into a per-boundary communication flag, a per-row outgoing
-    /// check, and a work-prefix cut for the first admissible interval start —
-    /// inadmissible intervals cost nothing.
-    PeriodBound(f64),
-}
-
-impl DpFilter {
-    fn bound(self) -> f64 {
-        match self {
-            DpFilter::All => f64::INFINITY,
-            DpFilter::PeriodBound(bound) => bound,
-        }
-    }
-}
-
-/// Which implementation of the DP inner sweep to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DpKernel {
-    /// The lane-chunked kernel (gather + branchless fixed-width max-update).
-    #[default]
-    Chunked,
-    /// The scalar reference sweep (the pre-chunking implementation), kept for
-    /// equivalence tests and as the `scalar-kernel` feature's crate-wide
-    /// default.
-    Scalar,
-}
-
-impl DpKernel {
-    /// The kernel the crate's solvers use: chunked, unless the
-    /// `scalar-kernel` feature selects the scalar reference path.
-    pub fn crate_default() -> Self {
-        if cfg!(feature = "scalar-kernel") {
-            DpKernel::Scalar
-        } else {
-            DpKernel::Chunked
-        }
-    }
-}
-
-/// Reusable state of the dynamic program: the flat value/traceback arenas,
-/// the per-row block-reliability gather buffer, and the admissibility data
-/// (`in_ok` boundary flags and per-row work-prefix cuts) that the period
-/// minimizer warm-starts across its binary-search probes.
+/// Reusable state of the dynamic program: the flat value arena, the per-row
+/// block-reliability gather buffer, and the admissibility data (`in_ok`
+/// boundary flags and per-row work-prefix cuts) that the period minimizer
+/// warm-starts across its binary-search probes.
 #[derive(Debug, Default)]
 pub struct DpScratch {
     /// `f[i·stride + k]`: best reliability for the first `i` tasks on `k`
     /// processors (−∞ = unreachable).
     f: Vec<f64>,
-    /// Packed winning `(previous boundary j, replica count q)` per state,
-    /// stored as exact `f64` integers (see [`NO_CHOICE`]).
-    choice: Vec<f64>,
     /// Per-row gather buffer of factored replica-block reliabilities.
     blocks: Vec<f64>,
     /// Per-row compacted admissible interval starts, descending.
@@ -138,7 +86,7 @@ pub struct DpScratch {
     prev_bound: f64,
     /// Shape of the last completed fill of `f`: number of rows (`n + 1`) and
     /// row stride (`p + 1`). Zero until the first sweep. The repair entry
-    /// points check this before reusing the grid — a scratch whose shape does
+    /// point checks this before reusing the grid — a scratch whose shape does
     /// not match the pre-delta instance silently falls back to a full solve.
     dp_rows: usize,
     dp_stride: usize,
@@ -164,7 +112,6 @@ impl DpScratch {
     /// never another instance's admissibility data.
     pub fn reset(&mut self) {
         self.f.clear();
-        self.choice.clear();
         self.blocks.clear();
         self.adm.clear();
         self.rels.clear();
@@ -175,60 +122,6 @@ impl DpScratch {
         self.dp_stride = 0;
         self.het_lat.reset();
     }
-}
-
-/// The dynamic program shared by Algorithms 1 and 2 (fresh scratch per call).
-pub(crate) fn reliability_dp(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    filter: DpFilter,
-) -> Option<OptimalMapping> {
-    let mut scratch = DpScratch::new();
-    reliability_dp_scratch(
-        oracle,
-        chain,
-        platform,
-        filter,
-        DpKernel::crate_default(),
-        &mut scratch,
-    )
-}
-
-/// Runs the shared dynamic program with an explicit kernel choice. This is
-/// the measurement and equivalence-testing entry point: `period_bound: None`
-/// is Algorithm 1, `Some(bound)` is Algorithm 2. The platform must be
-/// homogeneous (this is not re-checked here; use the `optimize_*` wrappers
-/// for validated solving).
-pub fn reliability_dp_with_kernel(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    kernel: DpKernel,
-) -> Option<OptimalMapping> {
-    let mut scratch = DpScratch::new();
-    reliability_dp_with_scratch(oracle, chain, platform, period_bound, kernel, &mut scratch)
-}
-
-/// [`reliability_dp_with_kernel`] against caller-owned [`DpScratch`]:
-/// repeated runs over the same oracle (a bound sweep, a probe loop) reuse
-/// the DP arenas and warm-start the admissible-interval cuts from the
-/// previous bounded run — this is what the period minimizer's binary search
-/// does internally with one scratch across all its probes.
-pub fn reliability_dp_with_scratch(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    kernel: DpKernel,
-    scratch: &mut DpScratch,
-) -> Option<OptimalMapping> {
-    let filter = match period_bound {
-        None => DpFilter::All,
-        Some(bound) => DpFilter::PeriodBound(bound),
-    };
-    reliability_dp_scratch(oracle, chain, platform, filter, kernel, scratch)
 }
 
 /// How a repair DP call obtained its answer.
@@ -242,198 +135,175 @@ pub enum WarmPath {
     Resolved,
 }
 
-/// Warm-started **repair** run of the shared dynamic program after a
-/// [`rpo_model::PlatformDelta`], reusing the unchanged prefix of the
-/// boundary grid left in `scratch` by the pre-delta solve.
-///
-/// `keep_rows` is the number of leading boundary rows of the prior grid
-/// known to be bit-valid for the post-delta instance — the
-/// `first_affected_task` of [`rpo_model::AppliedDelta`]:
-///
-/// * **Platform shrink** (a processor failed on a homogeneous platform,
-///   `keep_rows = n`): every row survives. `f[i][k]` — the best reliability
-///   of the first `i` tasks on `k` processors — never depends on how many
-///   processors exist beyond `k`, so the whole grid remains exact for the
-///   smaller platform; the repair just re-picks the best final state over
-///   `k ≤ p_new` and retraces through the old (wider-stride) grid.
-/// * **Work revision of task `t`** (`keep_rows = t`): row `i` only reads
-///   block reliabilities of intervals ending at task `i − 1`, which involve
-///   only works of tasks `< i` — so rows `≤ t` are bit-identical and only
-///   rows `t + 1 ..= n` are wiped and re-swept (same kernel, same
-///   evaluation order, hence bit-identical to a cold solve).
-///
-/// Falls back to a full cold solve — reported as [`WarmPath::Resolved`] —
-/// whenever the preconditions do not hold: scratch shape mismatch (never
-/// filled, or filled for a different `n`/`p`), a platform shrink combined
-/// with row invalidation, or the scalar reference kernel being the crate
-/// default. **The caller must pass the same `period_bound` the scratch was
-/// filled under and must not reuse a grid across a factored-path flip**
-/// (see `AppliedDelta::factored_changed`) — the repair ladder in
-/// `rpo-repair` enforces both.
-///
-/// Returns `None` when no feasible mapping exists on the post-delta
-/// platform (all final states unreachable), exactly like the cold DP.
-pub fn repair_reliability_dp_with_scratch(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    keep_rows: usize,
-    scratch: &mut DpScratch,
-) -> Option<(OptimalMapping, WarmPath)> {
-    let n = oracle.len();
-    let p = oracle.num_processors();
-    let bound = period_bound.unwrap_or(f64::INFINITY);
-    let stride_prev = scratch.dp_stride;
-    let shape_ok = DpKernel::crate_default() == DpKernel::Chunked
-        && scratch.dp_rows == n + 1
-        && stride_prev > p
-        && scratch.f.len() == scratch.dp_rows * stride_prev;
-    if !shape_ok || (stride_prev > p + 1 && keep_rows < n) {
-        return reliability_dp_with_scratch(
-            oracle,
-            chain,
-            platform,
-            period_bound,
-            DpKernel::crate_default(),
-            scratch,
-        )
-        .map(|solution| (solution, WarmPath::Resolved));
-    }
-
-    let _span = rpo_obs::span!("dp.repair", rows = n - keep_rows.min(n), procs = p);
-    if stride_prev == p + 1 && keep_rows < n {
-        // Wipe only the invalidated suffix of the grid and resweep it; the
-        // kept rows are never touched, so they stay bit-identical.
-        let row_lo = keep_rows + 1;
-        for value in &mut scratch.f[row_lo * stride_prev..] {
-            *value = f64::NEG_INFINITY;
+impl SolveCtx<'_> {
+    /// Algorithms 1 and 2: a mapping of maximal reliability on a fully
+    /// homogeneous platform, in time `O(n² p K)` — among all mappings
+    /// (`period_bound: None`, Algorithm 1), or among those whose worst-case
+    /// period does not exceed the bound (`Some(bound)`, Algorithm 2).
+    ///
+    /// Runs in the context's scratch: repeated runs (a bound sweep, the
+    /// period minimizer's probes) reuse the DP arenas and warm-start the
+    /// admissible-interval cuts from the previous bounded run.
+    ///
+    /// # Errors
+    ///
+    /// * [`AlgoError::HeterogeneousPlatform`] if the platform is not
+    ///   homogeneous (the dynamic program is only optimal in that case);
+    /// * [`AlgoError::InvalidBound`] if the bound is not a positive finite
+    ///   number;
+    /// * [`AlgoError::NoFeasibleMapping`] if no partition of the chain
+    ///   respects the period bound.
+    pub fn reliability_dp(&mut self, period_bound: Option<f64>) -> Result<OptimalMapping> {
+        let oracle = self.oracle();
+        if !oracle.is_homogeneous() {
+            return Err(AlgoError::HeterogeneousPlatform);
         }
-        rpo_obs::counter!("dp.kernel.row_sweeps").add((n - keep_rows) as u64);
-        chunked_sweep(oracle, bound, scratch, row_lo);
+        let bound = validate_period_bound(period_bound)?;
+        let n = oracle.len();
+        let p = oracle.num_processors();
+        let _span = rpo_obs::span!("dp.kernel", rows = n, procs = p);
+        rpo_obs::counter!("dp.kernel.row_sweeps").add(n as u64);
+        let scratch = &mut *self.scratch;
+        let stride = p + 1;
+        scratch.f.clear();
+        scratch.f.resize((n + 1) * stride, f64::NEG_INFINITY);
+        scratch.f[0] = 1.0;
+        scratch.dp_rows = n + 1;
+        scratch.dp_stride = stride;
+        chunked_sweep(oracle, bound, scratch, 1);
+        self.traceback(bound, stride)
+            .ok_or(AlgoError::NoFeasibleMapping)
     }
 
-    // The traceback needs current admissibility flags (the scratch may hold
-    // another probe's, and a shrink repair skips the sweep that would
-    // rebuild them). Communication times are delta-invariant, so these are
-    // the same comparisons the original sweep made.
-    scratch.in_ok.clear();
-    scratch
-        .in_ok
-        .extend((0..n).map(|j| oracle.input_comm_time(j) <= bound));
+    /// Warm-started **repair** run of [`SolveCtx::reliability_dp`] after a
+    /// [`rpo_model::PlatformDelta`], reusing the unchanged prefix of the
+    /// boundary grid the pre-delta solve left in the context's scratch.
+    ///
+    /// `keep_rows` is the number of leading boundary rows of the prior grid
+    /// known to be bit-valid for the post-delta instance — the
+    /// `first_affected_task` of [`rpo_model::AppliedDelta`]:
+    ///
+    /// * **Platform shrink** (a processor failed on a homogeneous platform,
+    ///   `keep_rows = n`): every row survives. `f[i][k]` — the best
+    ///   reliability of the first `i` tasks on `k` processors — never depends
+    ///   on how many processors exist beyond `k`, so the whole grid remains
+    ///   exact for the smaller platform; the repair just re-picks the best
+    ///   final state over `k ≤ p_new` and retraces through the old
+    ///   (wider-stride) grid.
+    /// * **Work revision of task `t`** (`keep_rows = t`): row `i` only reads
+    ///   block reliabilities of intervals ending at task `i − 1`, which
+    ///   involve only works of tasks `< i` — so rows `≤ t` are bit-identical
+    ///   and only rows `t + 1 ..= n` are wiped and re-swept (same kernel,
+    ///   same evaluation order, hence bit-identical to a cold solve).
+    ///
+    /// Falls back to a full cold solve — reported as [`WarmPath::Resolved`]
+    /// — whenever the preconditions do not hold: scratch shape mismatch
+    /// (never filled, or filled for a different `n`/`p`), or a platform
+    /// shrink combined with row invalidation. **The caller must pass the
+    /// same `period_bound` the scratch was filled under and must not reuse a
+    /// grid across a factored-path flip** (see
+    /// `AppliedDelta::factored_changed`) — the repair ladder in `rpo-repair`
+    /// enforces both.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SolveCtx::reliability_dp`]; [`AlgoError::NoFeasibleMapping`]
+    /// when every final state of the post-delta platform is unreachable.
+    pub fn repair_reliability_dp(
+        &mut self,
+        period_bound: Option<f64>,
+        keep_rows: usize,
+    ) -> Result<(OptimalMapping, WarmPath)> {
+        let oracle = self.oracle();
+        let n = oracle.len();
+        let p = oracle.num_processors();
+        let scratch = &mut *self.scratch;
+        let stride_prev = scratch.dp_stride;
+        let shape_ok = scratch.dp_rows == n + 1
+            && stride_prev > p
+            && scratch.f.len() == scratch.dp_rows * stride_prev;
+        if !shape_ok || (stride_prev > p + 1 && keep_rows < n) {
+            return self
+                .reliability_dp(period_bound)
+                .map(|solution| (solution, WarmPath::Resolved));
+        }
+        let bound = validate_period_bound(period_bound)?;
 
-    let row_n = n * stride_prev;
-    let (best_k, best_rel) = (1..=p).map(|k| (k, scratch.f[row_n + k])).max_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .expect("totally ordered reliabilities")
-    })?;
-    if !best_rel.is_finite() {
-        return None;
+        let _span = rpo_obs::span!("dp.repair", rows = n - keep_rows.min(n), procs = p);
+        if stride_prev == p + 1 && keep_rows < n {
+            // Wipe only the invalidated suffix of the grid and resweep it; the
+            // kept rows are never touched, so they stay bit-identical.
+            let row_lo = keep_rows + 1;
+            for value in &mut scratch.f[row_lo * stride_prev..] {
+                *value = f64::NEG_INFINITY;
+            }
+            rpo_obs::counter!("dp.kernel.row_sweeps").add((n - keep_rows) as u64);
+            chunked_sweep(oracle, bound, scratch, row_lo);
+        }
+
+        // The traceback needs current admissibility flags (the scratch may hold
+        // another probe's, and a shrink repair skips the sweep that would
+        // rebuild them). Communication times are delta-invariant, so these are
+        // the same comparisons the original sweep made.
+        scratch.in_ok.clear();
+        scratch
+            .in_ok
+            .extend((0..n).map(|j| oracle.input_comm_time(j) <= bound));
+        self.traceback(bound, stride_prev)
+            .map(|solution| (solution, WarmPath::ReusedGrid))
+            .ok_or(AlgoError::NoFeasibleMapping)
     }
 
-    let mut segments: Vec<(usize, usize, usize)> = Vec::new();
-    let (mut i, mut k) = (n, best_k);
-    while i > 0 {
-        let (j, q) = recover_choice(oracle, bound, scratch, stride_prev, i, k);
-        segments.push((j, i - 1, q));
-        i = j;
-        k -= q;
+    /// Picks the best final state of the filled grid (row stride `stride`)
+    /// and rebuilds its mapping by post-hoc candidate re-scan; `None` when
+    /// every final state is unreachable.
+    fn traceback(&mut self, bound: f64, stride: usize) -> Option<OptimalMapping> {
+        let oracle = self.oracle();
+        let n = oracle.len();
+        let p = oracle.num_processors();
+        let scratch = &mut *self.scratch;
+        let best_k = best_final_state(&scratch.f[n * stride..], p)?;
+        let mut segments: Vec<(usize, usize, usize)> = Vec::new(); // (first, last, replicas)
+        let (mut i, mut k) = (n, best_k);
+        while i > 0 {
+            let (j, q) = recover_choice(oracle, bound, scratch, stride, i, k);
+            segments.push((j, i - 1, q));
+            i = j;
+            k -= q;
+        }
+        Some(mapping_from_segments(
+            segments,
+            oracle,
+            self.chain(),
+            self.platform(),
+        ))
     }
-    segments.reverse();
-
-    let mut next_processor = 0;
-    let mapped = segments
-        .into_iter()
-        .map(|(first, last, q)| {
-            let processors: Vec<usize> = (next_processor..next_processor + q).collect();
-            next_processor += q;
-            MappedInterval::new(Interval { first, last }, processors)
-        })
-        .collect();
-    let mapping = Mapping::new(mapped, chain, platform)
-        .expect("dynamic program only builds structurally valid mappings");
-    let reliability = oracle.mapping_reliability(&mapping);
-    Some((
-        OptimalMapping {
-            mapping,
-            reliability,
-        },
-        WarmPath::ReusedGrid,
-    ))
 }
 
-/// The dynamic program against caller-owned scratch: the period minimizer
-/// passes the same scratch to every binary-search probe, reusing the arenas
-/// and warm-starting the admissibility cuts.
-pub(crate) fn reliability_dp_scratch(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    filter: DpFilter,
-    kernel: DpKernel,
-    scratch: &mut DpScratch,
-) -> Option<OptimalMapping> {
-    let n = oracle.len();
-    let p = oracle.num_processors();
-    let _span = rpo_obs::span!("dp.kernel", rows = n, procs = p);
-    rpo_obs::counter!("dp.kernel.row_sweeps").add(n as u64);
-    assert!(
-        oracle.max_replication().min(p) <= 0xFF && n < (1 << 24),
-        "packed traceback supports K ≤ 255 and n < 2^24"
-    );
-    let stride = p + 1;
-    scratch.f.clear();
-    scratch.f.resize((n + 1) * stride, f64::NEG_INFINITY);
-    scratch.f[0] = 1.0;
-    scratch.dp_rows = n + 1;
-    scratch.dp_stride = stride;
-
-    match kernel {
-        DpKernel::Chunked => chunked_sweep(oracle, filter.bound(), scratch, 1),
-        DpKernel::Scalar => {
-            // Only the scalar reference sweep records explicit traceback
-            // choices; the chunked kernel keeps its hot loop value-only and
-            // recovers winners afterwards (see `recover_choice`).
-            scratch.choice.clear();
-            scratch.choice.resize((n + 1) * stride, NO_CHOICE);
-            scalar_sweep(oracle, filter.bound(), &mut scratch.f, &mut scratch.choice);
-        }
-    }
-
-    // Best over every possible total processor count.
-    let row_n = n * stride;
-    let (best_k, best_rel) = (1..=p).map(|k| (k, scratch.f[row_n + k])).max_by(|a, b| {
+/// The best final state `k ∈ 1..=p` of a DP grid's last row, or `None` when
+/// every final state is unreachable.
+pub(crate) fn best_final_state(row_n: &[f64], p: usize) -> Option<usize> {
+    let (best_k, best_rel) = (1..=p).map(|k| (k, row_n[k])).max_by(|a, b| {
         a.1.partial_cmp(&b.1)
             .expect("totally ordered reliabilities")
     })?;
-    if !best_rel.is_finite() {
-        return None;
-    }
+    best_rel.is_finite().then_some(best_k)
+}
 
-    // Traceback: rebuild intervals and replica counts from the end.
-    let mut segments: Vec<(usize, usize, usize)> = Vec::new(); // (first, last, replicas)
-    let (mut i, mut k) = (n, best_k);
-    while i > 0 {
-        let (j, q) = match kernel {
-            DpKernel::Chunked => recover_choice(oracle, filter.bound(), scratch, stride, i, k),
-            DpKernel::Scalar => {
-                let packed_f = scratch.choice[i * stride + k];
-                debug_assert!(
-                    packed_f != NO_CHOICE,
-                    "reachable state has a recorded choice"
-                );
-                let packed = packed_f as u32; // exact: integral and < 2^32
-                ((packed >> 8) as usize, (packed & 0xFF) as usize)
-            }
-        };
-        segments.push((j, i - 1, q));
-        i = j;
-        k -= q;
-    }
+/// Lowers traced-back `(first, last, replicas)` segments (collected from the
+/// end of the chain) into a mapping, assigning processor identifiers in
+/// order — the platform is homogeneous, so which processors are picked does
+/// not matter — and reports the mapping's exact Eq. 9 reliability: the DP
+/// maximized over factored values that can differ by an ulp, so the reported
+/// value always matches the evaluator and can be fed back as a reliability
+/// bound without borderline misses.
+pub(crate) fn mapping_from_segments(
+    mut segments: Vec<(usize, usize, usize)>,
+    oracle: &IntervalOracle,
+    chain: &TaskChain,
+    platform: &Platform,
+) -> OptimalMapping {
     segments.reverse();
-
-    // Assign concrete processor identifiers in order (the platform is
-    // homogeneous, so which processors are picked does not matter).
     let mut next_processor = 0;
     let mapped = segments
         .into_iter()
@@ -445,15 +315,11 @@ pub(crate) fn reliability_dp_scratch(
         .collect();
     let mapping = Mapping::new(mapped, chain, platform)
         .expect("dynamic program only builds structurally valid mappings");
-    // Report the exact Eq. 9 reliability of the reconstructed mapping (the
-    // DP maximized over factored values that can differ by an ulp), so the
-    // reported value always matches the evaluator and can be fed back as a
-    // reliability bound without borderline misses.
     let reliability = oracle.mapping_reliability(&mapping);
-    Some(OptimalMapping {
+    OptimalMapping {
         mapping,
         reliability,
-    })
+    }
 }
 
 /// The lane-chunked DP sweep. Per row `i`: derive the admissible start range
@@ -722,90 +588,9 @@ fn recover_choice(
     unreachable!("every reachable DP state has a winning candidate")
 }
 
-/// The scalar reference sweep: the pre-chunking implementation, preserved
-/// verbatim (per-row factored exponent products computed inline, branchy
-/// per-`k` max-update). Used by the equivalence tests, the kernel benchmark,
-/// and the `scalar-kernel` feature.
-fn scalar_sweep(oracle: &IntervalOracle, bound: f64, f: &mut [f64], choice: &mut [f64]) {
-    let n = oracle.len();
-    let p = oracle.num_processors();
-    let k_max = oracle.max_replication().min(p);
-    let speed = oracle.classes()[0].speed;
-    let stride = p + 1;
-    // Incoming-communication admissibility per interval start, shared by
-    // every row (these are exactly the comparisons period_requirement makes).
-    let in_ok: Vec<bool> = (0..n).map(|j| oracle.input_comm_time(j) <= bound).collect();
-    let work_prefix = oracle.work_prefix();
-
-    // Factored interval reliability: exp(−ρ(W_i − W_j)) = exp(−ρW_i)·exp(ρW_j)
-    // over the log-reliability exponent prefix, turning the n²/2 per-interval
-    // `exp`s into 2(n+1). Only safe while the exponents stay small (they are
-    // for any instance whose reliabilities are not denormal-degenerate);
-    // otherwise fall back to one exact `exp` per admissible interval.
-    let class = oracle.classes()[0];
-    let rho = class.failure_rate / class.speed;
-    let factored = rho * oracle.total_work() <= 40.0;
-    let (e_minus, e_plus): (Vec<f64>, Vec<f64>) = if factored {
-        (
-            work_prefix.iter().map(|&w| (-rho * w).exp()).collect(),
-            work_prefix.iter().map(|&w| (rho * w).exp()).collect(),
-        )
-    } else {
-        (Vec::new(), Vec::new())
-    };
-
-    for i in 1..=n {
-        if oracle.output_comm_time(i - 1) > bound {
-            continue; // no interval ending at task i−1 fits the period
-        }
-        let out_rel = oracle.output_comm_reliability(i - 1);
-        let j_lo = if bound.is_finite() {
-            work_prefix[..i]
-                .partition_point(|&w| w < work_prefix[i] - bound * speed)
-                .saturating_sub(1)
-        } else {
-            0
-        };
-        let (done, rest) = f.split_at_mut(i * stride);
-        let row_i = &mut rest[..stride];
-        let choices = i * stride;
-        for j in (j_lo..i).rev() {
-            if !in_ok[j] || oracle.work(j, i - 1) / speed > bound {
-                continue;
-            }
-            let block = if factored {
-                oracle.input_comm_reliability(j) * (e_minus[i] * e_plus[j]) * out_rel
-            } else {
-                oracle.class_block_reliability(0, j, i - 1)
-            };
-            let row_j = &done[j * stride..(j + 1) * stride];
-            let min_prev = usize::from(j > 0);
-            let max_prev = (j * k_max).min(p);
-            let mut all_fail = 1.0;
-            for q in 1..=k_max {
-                all_fail *= 1.0 - block;
-                let rel_interval = 1.0 - all_fail;
-                let hi = max_prev.min(p - q);
-                if min_prev > hi {
-                    continue;
-                }
-                let base = q + min_prev;
-                let packed = ((j as u32) << 8 | q as u32) as f64;
-                for (offset, &prev) in row_j[min_prev..=hi].iter().enumerate() {
-                    let rel = prev * rel_interval;
-                    let k = base + offset;
-                    if rel > row_i[k] {
-                        row_i[k] = rel;
-                        choice[choices + k] = packed;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Algorithm 1: computes a mapping of maximal reliability on a fully
-/// homogeneous platform, in time `O(n² p K)`.
+/// homogeneous platform, in time `O(n² p K)`. A shim over
+/// [`SolveCtx::reliability_dp`] with a fresh context.
 ///
 /// # Errors
 ///
@@ -815,51 +600,7 @@ pub fn optimize_reliability_homogeneous(
     chain: &TaskChain,
     platform: &Platform,
 ) -> Result<OptimalMapping> {
-    let oracle = IntervalOracle::new(chain, platform);
-    optimize_reliability_homogeneous_with_oracle(&oracle, chain, platform)
-}
-
-/// Algorithm 1 against a prebuilt [`IntervalOracle`] (the portfolio shares
-/// one oracle across all its backends).
-///
-/// # Errors
-///
-/// Same as [`optimize_reliability_homogeneous`].
-pub fn optimize_reliability_homogeneous_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-) -> Result<OptimalMapping> {
-    let mut scratch = DpScratch::new();
-    optimize_reliability_homogeneous_with_scratch(oracle, chain, platform, &mut scratch)
-}
-
-/// Algorithm 1 against caller-owned [`DpScratch`]: batch callers (the
-/// portfolio engine's scratch pool) reuse the DP arenas across instances —
-/// allocation reuse only, the admissibility data is rebuilt per run.
-///
-/// # Errors
-///
-/// Same as [`optimize_reliability_homogeneous`].
-pub fn optimize_reliability_homogeneous_with_scratch(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    scratch: &mut DpScratch,
-) -> Result<OptimalMapping> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    if !oracle.is_homogeneous() {
-        return Err(AlgoError::HeterogeneousPlatform);
-    }
-    reliability_dp_scratch(
-        oracle,
-        chain,
-        platform,
-        DpFilter::All,
-        DpKernel::crate_default(),
-        scratch,
-    )
-    .ok_or(AlgoError::NoFeasibleMapping)
+    SolveCtx::fresh(chain, platform, |ctx| ctx.reliability_dp(None))
 }
 
 #[cfg(test)]
@@ -946,14 +687,17 @@ mod tests {
     }
 
     #[test]
-    fn oracle_entry_point_matches_the_wrapper() {
+    fn context_entry_point_matches_the_wrapper() {
         let c = chain();
         let p = platform(6, 3);
         let oracle = IntervalOracle::new(&c, &p);
+        let mut scratch = DpScratch::new();
         let direct = optimize_reliability_homogeneous(&c, &p).unwrap();
-        let via_oracle = optimize_reliability_homogeneous_with_oracle(&oracle, &c, &p).unwrap();
-        assert_eq!(direct.reliability, via_oracle.reliability);
-        assert_eq!(direct.mapping, via_oracle.mapping);
+        let via_ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch)
+            .reliability_dp(None)
+            .unwrap();
+        assert_eq!(direct.reliability, via_ctx.reliability);
+        assert_eq!(direct.mapping, via_ctx.mapping);
     }
 
     #[test]
@@ -963,11 +707,11 @@ mod tests {
             for k in 1..=3 {
                 let p = platform(p_count, k);
                 let oracle = IntervalOracle::new(&c, &p);
+                let mut scratch = DpScratch::new();
+                let mut ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
                 for bound in [None, Some(40.0), Some(45.0), Some(70.0), Some(1e6)] {
-                    let chunked =
-                        reliability_dp_with_kernel(&oracle, &c, &p, bound, DpKernel::Chunked);
-                    let scalar =
-                        reliability_dp_with_kernel(&oracle, &c, &p, bound, DpKernel::Scalar);
+                    let chunked = ctx.reliability_dp(bound).ok();
+                    let scalar = crate::reference::reliability_dp(&ctx, bound);
                     match (chunked, scalar) {
                         (Some(a), Some(b)) => {
                             assert!((a.reliability - b.reliability).abs() < 1e-12);
@@ -992,17 +736,11 @@ mod tests {
         let p = platform(6, 3);
         let oracle = IntervalOracle::new(&c, &p);
         let mut scratch = DpScratch::new();
+        let mut warm_ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
         // Bounds in binary-search-like (non-monotone) order.
         for bound in [105.0, 45.0, 70.0, 40.0, 1e9, 41.0] {
-            let warm = reliability_dp_scratch(
-                &oracle,
-                &c,
-                &p,
-                DpFilter::PeriodBound(bound),
-                DpKernel::Chunked,
-                &mut scratch,
-            );
-            let fresh = reliability_dp(&oracle, &c, &p, DpFilter::PeriodBound(bound));
+            let warm = warm_ctx.reliability_dp(Some(bound));
+            let fresh = SolveCtx::fresh(&c, &p, |ctx| ctx.reliability_dp(Some(bound)));
             assert_eq!(
                 warm.map(|s| (s.reliability, s.mapping)),
                 fresh.map(|s| (s.reliability, s.mapping)),

@@ -6,98 +6,37 @@
 //! `max(o_j / b, Σ w / s, o_i / b) ≤ P` (its incoming communication, its
 //! computation on one processor, and its outgoing communication all fit within
 //! one period). The admissibility test reads its interval metrics from the
-//! shared [`IntervalOracle`] in O(1).
+//! shared [`rpo_model::IntervalOracle`] in O(1). Both algorithms run through
+//! the one entry point [`SolveCtx::reliability_dp`] of [`crate::algo1`].
 
-use rpo_model::{IntervalOracle, Platform, TaskChain};
+use rpo_model::{Platform, TaskChain};
 
-use crate::algo1::{
-    reliability_dp, reliability_dp_scratch, DpFilter, DpKernel, DpScratch, OptimalMapping,
-};
-use crate::{AlgoError, Result};
+use crate::algo1::OptimalMapping;
+use crate::{Result, SolveCtx};
 
 /// Algorithm 2: computes a mapping of maximal reliability among those whose
 /// worst-case period does not exceed `period_bound`, on a fully homogeneous
-/// platform, in time `O(n² p K)`.
+/// platform, in time `O(n² p K)`. A shim over [`SolveCtx::reliability_dp`]
+/// with a fresh context.
 ///
 /// # Errors
 ///
-/// * [`AlgoError::HeterogeneousPlatform`] if the platform is not homogeneous;
-/// * [`AlgoError::InvalidBound`] if the bound is not a positive finite number;
-/// * [`AlgoError::NoFeasibleMapping`] if no partition of the chain respects
-///   the period bound.
+/// Same as [`SolveCtx::reliability_dp`].
 pub fn optimize_reliability_with_period_bound(
     chain: &TaskChain,
     platform: &Platform,
     period_bound: f64,
 ) -> Result<OptimalMapping> {
-    let oracle = IntervalOracle::new(chain, platform);
-    optimize_reliability_with_period_bound_with_oracle(&oracle, chain, platform, period_bound)
-}
-
-/// Algorithm 2 against a prebuilt [`IntervalOracle`] (shared by the portfolio
-/// backends and by the period minimizer's binary search).
-///
-/// # Errors
-///
-/// Same as [`optimize_reliability_with_period_bound`].
-pub fn optimize_reliability_with_period_bound_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: f64,
-) -> Result<OptimalMapping> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    if !oracle.is_homogeneous() {
-        return Err(AlgoError::HeterogeneousPlatform);
-    }
-    if !(period_bound.is_finite() && period_bound > 0.0) {
-        return Err(AlgoError::InvalidBound("period bound"));
-    }
-    reliability_dp(oracle, chain, platform, DpFilter::PeriodBound(period_bound))
-        .ok_or(AlgoError::NoFeasibleMapping)
-}
-
-/// Algorithm 2 against caller-owned [`DpScratch`]: the period minimizer's
-/// binary search passes the same scratch to every probe, so the DP arenas
-/// are allocated once and the admissible-interval cuts are warm-started from
-/// the previous probe instead of re-derived from scratch. Batch callers (the
-/// portfolio engine's scratch pool) likewise reuse the arenas across
-/// instances — allocation reuse only; call [`DpScratch::reset`] between
-/// instances, as the pool does.
-///
-/// # Errors
-///
-/// Same as [`optimize_reliability_with_period_bound`].
-pub fn optimize_with_period_bound_scratch(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: f64,
-    scratch: &mut DpScratch,
-) -> Result<OptimalMapping> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    if !oracle.is_homogeneous() {
-        return Err(AlgoError::HeterogeneousPlatform);
-    }
-    if !(period_bound.is_finite() && period_bound > 0.0) {
-        return Err(AlgoError::InvalidBound("period bound"));
-    }
-    reliability_dp_scratch(
-        oracle,
-        chain,
-        platform,
-        DpFilter::PeriodBound(period_bound),
-        DpKernel::crate_default(),
-        scratch,
-    )
-    .ok_or(AlgoError::NoFeasibleMapping)
+    SolveCtx::fresh(chain, platform, |ctx| {
+        ctx.reliability_dp(Some(period_bound))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize_reliability_homogeneous;
-    use rpo_model::{MappingEvaluation, PlatformBuilder};
+    use crate::{optimize_reliability_homogeneous, AlgoError, DpScratch};
+    use rpo_model::{IntervalOracle, MappingEvaluation, PlatformBuilder};
 
     fn chain() -> TaskChain {
         TaskChain::from_pairs(&[(30.0, 2.0), (10.0, 8.0), (25.0, 1.0), (40.0, 3.0)]).unwrap()
@@ -214,10 +153,11 @@ mod tests {
         let c = chain();
         let p = platform(6, 3);
         let oracle = IntervalOracle::new(&c, &p);
+        let mut scratch = DpScratch::new();
+        let mut ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
         for bound in [45.0, 70.0, 105.0] {
             let fresh = optimize_reliability_with_period_bound(&c, &p, bound).unwrap();
-            let shared =
-                optimize_reliability_with_period_bound_with_oracle(&oracle, &c, &p, bound).unwrap();
+            let shared = ctx.reliability_dp(Some(bound)).unwrap();
             assert_eq!(fresh.reliability, shared.reliability);
         }
     }

@@ -20,8 +20,8 @@
 //!
 //! The DP runs when the platform passes [`het_dp_applicable`] (class count
 //! `K_c ≤` [`MAX_DP_CLASSES`], state space ≤ [`MAX_DP_STATES`]); otherwise
-//! [`algo_het`] falls back to the Section 7.2 greedy pipeline
-//! ([`greedy_het_with_oracle`]: Heur-L/Heur-P partitions swept over every
+//! [`SolveCtx::algo_het`] falls back to the Section 7.2 greedy pipeline
+//! ([`SolveCtx::greedy_het`]: Heur-L/Heur-P partitions swept over every
 //! interval count + `alloc_het`). When the DP does run, the greedy result is
 //! still computed first and used as its **upper-bound pruner**: every factor
 //! of the reliability product is ≤ 1, so any DP prefix already below the
@@ -29,42 +29,31 @@
 //!
 //! # Kernel layout: gather / compact / sweep
 //!
-//! The DP body runs through one of two kernels ([`crate::DpKernel`]):
-//!
-//! * The **chunked kernel** ([`crate::het_kernel`], the default) mirrors
-//!   the homogeneous Algorithm 1 kernel's shape. Per DP row it **gathers**
-//!   each replica pattern's reliabilities `1 − Π_c (1 − block_c)^{q_c}`
-//!   over every admissible interval start into one contiguous scratch row
-//!   ([`IntervalOracle::fill_pattern_block_row`] — multiplication-only on
-//!   classes passing the factored-exponent guard), walks the **compacted**
-//!   dense predecessor-state ranges precomputed per pattern
-//!   ([`Pattern::runs`], replacing the per-state index-list walk that
-//!   defeats vectorization), and folds each range with a fixed-width
-//!   `[f64; 8]` value-only multiply-and-max **sweep**. Winning
-//!   `(j, pattern)` choices are recovered post hoc by bit-exact candidate
-//!   re-scan in sweep order, so its DP table and lowered mappings are
-//!   identical to the scalar kernel's.
-//! * The **scalar kernel** (the original per-state list walk with inline
-//!   choice recording) remains the differential reference, and is the
-//!   pinned default under the `scalar-kernel` feature. It also still runs
-//!   whenever a caller requests it explicitly through
-//!   [`class_dp_with_kernel`].
-//!
-//! Both kernels preserve the greedy-incumbent pruning cut, and both gather
-//! class blocks through the oracle's contiguous row fills
-//! ([`IntervalOracle::fill_class_block_row`] /
-//! [`IntervalOracle::fill_pattern_block_row`]). The winning class-level
-//! solution is a [`rpo_model::ClassAssignment`] and lowers to a concrete
-//! [`Mapping`] deterministically; the reported reliability is recomputed
-//! through the oracle's exact Eq. 9 path, so it always agrees with the
-//! evaluator.
+//! The DP body ([`SolveCtx::class_dp`], in [`crate::het_kernel`]) mirrors the
+//! homogeneous Algorithm 1 kernel's shape. Per DP row it **gathers** each
+//! replica pattern's reliabilities `1 − Π_c (1 − block_c)^{q_c}` over every
+//! admissible interval start into one contiguous scratch row
+//! ([`IntervalOracle::fill_pattern_block_row`] — multiplication-only on
+//! classes passing the factored-exponent guard), walks the **compacted**
+//! dense predecessor-state ranges precomputed per pattern (`Pattern::runs`,
+//! replacing the per-state index-list walk that defeats vectorization), and
+//! folds each range with a fixed-width `[f64; 8]` value-only multiply-and-max
+//! **sweep**, keeping the greedy-incumbent pruning cut. Winning
+//! `(j, pattern)` choices are recovered post hoc by bit-exact candidate
+//! re-scan in sweep order, so its DP table and lowered mappings are
+//! identical to the original per-state list walk, which lives on as
+//! [`crate::reference::class_dp`] for the equivalence tests and the kernel
+//! benchmark. The winning class-level solution is a
+//! [`rpo_model::ClassAssignment`] and lowers to a concrete [`Mapping`]
+//! deterministically; the reported reliability is recomputed through the
+//! oracle's exact Eq. 9 path, so it always agrees with the evaluator.
 //!
 //! # Adding the latency criterion
 //!
 //! This module optimizes reliability under a **period** bound only. The
 //! paper's full tri-criteria problem (a latency bound too — the case that
 //! makes the heterogeneous problem NP-complete) lives in
-//! [`crate::algo_het_lat`], which extends this DP in two regimes:
+//! [`mod@crate::algo_het_lat`], which extends this DP in two regimes:
 //!
 //! * a **latency state**: because the worst-case latency is additive over
 //!   intervals with per-interval terms on the oracle's boundary-indexed
@@ -85,14 +74,14 @@ use rpo_model::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::algo1::{DpKernel, OptimalMapping};
-use crate::alloc_het::{algo_alloc_heterogeneous_with_oracle, AllocationConstraints};
-use crate::heur_l::heur_l_partition_with_oracle;
-use crate::heur_p::heur_p_partition_with_oracle;
-use crate::{AlgoError, Result};
+use crate::algo1::OptimalMapping;
+use crate::alloc_het::AllocationConstraints;
+use crate::heur_l::heur_l_partition;
+use crate::heur_p::heur_p_partition;
+use crate::{validate_period_bound, AlgoError, Result, SolveCtx};
 
-/// Largest class count the exact DP accepts; beyond it [`algo_het`] falls
-/// back to the greedy pipeline.
+/// Largest class count the exact DP accepts; beyond it [`SolveCtx::algo_het`]
+/// falls back to the greedy pipeline.
 pub const MAX_DP_CLASSES: usize = 4;
 
 /// Largest per-boundary budget-state count `Π_c (m_c + 1)` the DP accepts.
@@ -153,14 +142,6 @@ pub(crate) fn budget_states(view: &ClassView) -> usize {
         .fold(1usize, |acc, m| acc.saturating_mul(m))
 }
 
-pub(crate) fn validate_bound(period_bound: Option<f64>) -> Result<f64> {
-    match period_bound {
-        None => Ok(f64::INFINITY),
-        Some(bound) if bound.is_finite() && bound > 0.0 => Ok(bound),
-        Some(_) => Err(AlgoError::InvalidBound("period bound")),
-    }
-}
-
 /// Mixed-radix strides of the per-class budget digits: state
 /// `s = Σ_c b_c · stride_c` with `b_c ∈ 0 ..= m_c`.
 pub(crate) fn class_strides(view: &ClassView) -> Vec<usize> {
@@ -172,103 +153,94 @@ pub(crate) fn class_strides(view: &ClassView) -> Vec<usize> {
 }
 
 /// `algo_het`: the most reliable mapping of `chain` onto the (possibly
-/// heterogeneous) `platform`, under an optional worst-case period bound.
-///
-/// Exact (class-level DP) whenever [`het_dp_applicable`] holds; otherwise
-/// the greedy Section 7.2 pipeline. In both cases the result is never less
-/// reliable than [`greedy_het_with_oracle`]'s on the same instance.
+/// heterogeneous) `platform`, under an optional worst-case period bound. A
+/// shim over [`SolveCtx::algo_het`] with a fresh context.
 ///
 /// # Errors
 ///
-/// * [`AlgoError::InvalidBound`] if the bound is not a positive finite
-///   number;
-/// * [`AlgoError::NoFeasibleMapping`] if no mapping fits the bound.
+/// Same as [`SolveCtx::algo_het`].
 pub fn algo_het(
     chain: &TaskChain,
     platform: &Platform,
     period_bound: Option<f64>,
 ) -> Result<HetSolution> {
-    let oracle = IntervalOracle::new(chain, platform);
-    algo_het_with_oracle(&oracle, chain, platform, period_bound)
+    SolveCtx::fresh(chain, platform, |ctx| ctx.algo_het(period_bound))
 }
 
-/// [`algo_het`] against a prebuilt [`IntervalOracle`] (the portfolio shares
-/// one oracle across all its backends).
-///
-/// # Errors
-///
-/// Same as [`algo_het`].
-pub fn algo_het_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-) -> Result<HetSolution> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    validate_bound(period_bound)?;
+impl SolveCtx<'_> {
+    /// `algo_het`: the most reliable mapping of the (possibly heterogeneous)
+    /// instance under an optional worst-case period bound.
+    ///
+    /// Exact (class-level DP) whenever [`het_dp_applicable`] holds; otherwise
+    /// the greedy Section 7.2 pipeline. In both cases the result is never
+    /// less reliable than [`SolveCtx::greedy_het`]'s on the same instance.
+    ///
+    /// # Errors
+    ///
+    /// * [`AlgoError::InvalidBound`] if the bound is not a positive finite
+    ///   number;
+    /// * [`AlgoError::NoFeasibleMapping`] if no mapping fits the bound.
+    pub fn algo_het(&self, period_bound: Option<f64>) -> Result<HetSolution> {
+        validate_period_bound(period_bound)?;
 
-    // The greedy pipeline first: it is the fallback when the DP cannot run,
-    // and the DP's upper-bound pruner when it can.
-    let greedy = greedy_het_with_oracle(oracle, chain, platform, period_bound);
-    let greedy_reliability = greedy.as_ref().ok().map(|g| g.reliability);
-    if !het_dp_applicable(oracle) {
-        return greedy.map(|solution| HetSolution {
-            mapping: solution.mapping,
-            reliability: solution.reliability,
-            method: HetMethod::Greedy,
-            greedy_reliability,
-        });
+        // The greedy pipeline first: it is the fallback when the DP cannot run,
+        // and the DP's upper-bound pruner when it can.
+        let greedy = self.greedy_het(period_bound);
+        let greedy_reliability = greedy.as_ref().ok().map(|g| g.reliability);
+        if !het_dp_applicable(self.oracle()) {
+            return greedy.map(|solution| HetSolution {
+                mapping: solution.mapping,
+                reliability: solution.reliability,
+                method: HetMethod::Greedy,
+                greedy_reliability,
+            });
+        }
+        let incumbent = greedy_reliability.unwrap_or(0.0);
+        let dp = self.class_dp(period_bound, incumbent);
+
+        // The DP maximizes factored (ulp-accurate) products; both reliabilities
+        // here are recomputed exactly, so picking the larger one guarantees the
+        // "never below greedy" invariant bit-for-bit.
+        match (dp, greedy) {
+            (Some(dp), Ok(greedy)) if greedy.reliability > dp.reliability => Ok(HetSolution {
+                mapping: greedy.mapping,
+                reliability: greedy.reliability,
+                method: HetMethod::Greedy,
+                greedy_reliability,
+            }),
+            (Some(dp), _) => Ok(HetSolution {
+                mapping: dp.mapping,
+                reliability: dp.reliability,
+                method: HetMethod::ClassDp,
+                greedy_reliability,
+            }),
+            (None, Ok(greedy)) => Ok(HetSolution {
+                mapping: greedy.mapping,
+                reliability: greedy.reliability,
+                method: HetMethod::Greedy,
+                greedy_reliability,
+            }),
+            (None, Err(e)) => Err(e),
+        }
     }
-    let incumbent = greedy_reliability.unwrap_or(0.0);
-    let dp = class_dp(oracle, chain, platform, period_bound, incumbent);
 
-    // The DP maximizes factored (ulp-accurate) products; both reliabilities
-    // here are recomputed exactly, so picking the larger one guarantees the
-    // "never below greedy" invariant bit-for-bit.
-    match (dp, greedy) {
-        (Some(dp), Ok(greedy)) if greedy.reliability > dp.reliability => Ok(HetSolution {
-            mapping: greedy.mapping,
-            reliability: greedy.reliability,
-            method: HetMethod::Greedy,
-            greedy_reliability,
-        }),
-        (Some(dp), _) => Ok(HetSolution {
-            mapping: dp.mapping,
-            reliability: dp.reliability,
-            method: HetMethod::ClassDp,
-            greedy_reliability,
-        }),
-        (None, Ok(greedy)) => Ok(HetSolution {
-            mapping: greedy.mapping,
-            reliability: greedy.reliability,
-            method: HetMethod::Greedy,
-            greedy_reliability,
-        }),
-        (None, Err(e)) => Err(e),
+    /// The Section 7.2 greedy pipeline as a single entry point: Heur-L and
+    /// Heur-P partitions for every interval count `1 ..= min(n, p)`, each
+    /// allocated with `alloc_het`, keeping the most reliable mapping whose
+    /// worst-case period fits the bound. This is what the portfolio's
+    /// heuristic backends race — factored out here so [`SolveCtx::algo_het`]
+    /// can use it as fallback and pruner, and the benches as the comparison
+    /// baseline.
+    ///
+    /// # Errors
+    ///
+    /// * [`AlgoError::InvalidBound`] if the bound is not a positive finite
+    ///   number;
+    /// * [`AlgoError::NoFeasibleMapping`] if no candidate fits the bound.
+    pub fn greedy_het(&self, period_bound: Option<f64>) -> Result<OptimalMapping> {
+        let bound = validate_period_bound(period_bound)?;
+        greedy_het_bounded(self, bound, f64::INFINITY)
     }
-}
-
-/// The Section 7.2 greedy pipeline as a single entry point: Heur-L and
-/// Heur-P partitions for every interval count `1 ..= min(n, p)`, each
-/// allocated with `alloc_het`, keeping the most reliable mapping whose
-/// worst-case period fits the bound. This is what the portfolio's heuristic
-/// backends race — factored out here so [`algo_het`] can use it as fallback
-/// and pruner, and the benches as the comparison baseline.
-///
-/// # Errors
-///
-/// * [`AlgoError::InvalidBound`] if the bound is not a positive finite
-///   number;
-/// * [`AlgoError::NoFeasibleMapping`] if no candidate fits the bound.
-pub fn greedy_het_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-) -> Result<OptimalMapping> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    let bound = validate_bound(period_bound)?;
-    greedy_het_bounded(oracle, chain, platform, bound, f64::INFINITY)
 }
 
 /// The shared greedy-pipeline core: Heur-L and Heur-P partitions for every
@@ -277,12 +249,11 @@ pub fn greedy_het_with_oracle(
 /// latency fits `latency_bound` (pass `f64::INFINITY` for the period-only
 /// pipeline). Bounds are the callers' responsibility to validate.
 pub(crate) fn greedy_het_bounded(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
+    ctx: &SolveCtx<'_>,
     bound: f64,
     latency_bound: f64,
 ) -> Result<OptimalMapping> {
+    let oracle = ctx.oracle();
     // alloc_het rejects infinite bounds: substitute a finite value no
     // feasible interval can exceed (whole chain on the slowest processor,
     // doubled, plus the largest communication).
@@ -303,16 +274,10 @@ pub(crate) fn greedy_het_bounded(
     let constraints = AllocationConstraints::none();
     let mut best: Option<OptimalMapping> = None;
     for num_intervals in 1..=oracle.len().min(oracle.num_processors()) {
-        for partition_fn in [heur_l_partition_with_oracle, heur_p_partition_with_oracle] {
-            let partition = partition_fn(oracle, num_intervals);
-            let Ok(mapping) = algo_alloc_heterogeneous_with_oracle(
-                oracle,
-                chain,
-                platform,
-                &partition,
-                alloc_bound,
-                &constraints,
-            ) else {
+        for partition_fn in [heur_l_partition, heur_p_partition] {
+            let partition = partition_fn(ctx.chain(), num_intervals);
+            let Ok(mapping) = ctx.algo_alloc_heterogeneous(&partition, alloc_bound, &constraints)
+            else {
                 continue;
             };
             let evaluation = oracle.evaluate(&mapping);
@@ -432,218 +397,6 @@ pub(crate) fn enumerate_patterns(
     patterns
 }
 
-/// No recorded choice sentinel of the DP's packed `(j, pattern)` traceback.
-const NO_CHOICE: u64 = u64::MAX;
-
-/// The exact class-level dynamic program, dispatched to the crate-default
-/// kernel: the chunked gather/compact/sweep kernel of [`crate::het_kernel`],
-/// or the scalar reference inner loop when the `scalar-kernel` feature pins
-/// it. Returns `None` when no mapping fits the bound (or everything was
-/// pruned below the greedy `incumbent` — in which case the caller's greedy
-/// solution is already optimal-or-equal).
-fn class_dp(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    incumbent: f64,
-) -> Option<OptimalMapping> {
-    class_dp_with_kernel(
-        oracle,
-        chain,
-        platform,
-        period_bound,
-        incumbent,
-        DpKernel::crate_default(),
-    )
-}
-
-/// The class-level DP with an explicit kernel choice: the measurement and
-/// differential-testing entry point behind [`algo_het`]'s exact path.
-///
-/// Both kernels maximize over bit-identical candidate values and recover
-/// bit-identical traceback choices, so their lowered mappings are equal —
-/// the workspace `het` suite asserts exactly that. `incumbent` is the greedy
-/// pruning cut (pass `0.0` to disable pruning).
-///
-/// # Panics
-///
-/// Panics if [`het_dp_applicable`] does not hold for the oracle, or the
-/// bound is not `None` or a positive finite number (callers go through
-/// [`validate_bound`](self) / [`algo_het`] in production).
-pub fn class_dp_with_kernel(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    incumbent: f64,
-    kernel: DpKernel,
-) -> Option<OptimalMapping> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    assert!(
-        het_dp_applicable(oracle),
-        "the class-level DP requires het_dp_applicable platforms"
-    );
-    assert!(
-        validate_bound(period_bound).is_ok(),
-        "period bound must be None or a positive finite number"
-    );
-    match kernel {
-        DpKernel::Chunked => {
-            crate::het_kernel::class_dp_chunked(oracle, chain, platform, period_bound, incumbent)
-        }
-        DpKernel::Scalar => class_dp_scalar(oracle, chain, platform, period_bound, incumbent),
-    }
-}
-
-/// The scalar reference inner loop of the class DP (the original per-state
-/// list walk), kept as the chunked kernel's differential reference and the
-/// `scalar-kernel` feature's pinned implementation.
-///
-/// The admissibility prelude and block-row gather are mirrored by
-/// `algo_het_lat`'s `label_dp` and `penalized_dp`, and by the chunked
-/// kernel in [`crate::het_kernel`] — the DPs differ in their value type,
-/// so a fix to the shared shape must land in all of them.
-fn class_dp_scalar(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    incumbent: f64,
-) -> Option<OptimalMapping> {
-    let n = oracle.len();
-    let view = oracle.class_view();
-    let kc = view.len();
-    let k_max = oracle.max_replication().min(oracle.num_processors());
-
-    let strides = class_strides(view);
-    let num_states = budget_states(view);
-    let patterns = enumerate_patterns(view, k_max, &strides);
-    assert!(
-        patterns.len() < (1 << 32) && n < (1 << 24),
-        "packed het traceback supports < 2^32 patterns and n < 2^24"
-    );
-
-    let bound = period_bound.unwrap_or(f64::INFINITY);
-    // Any DP prefix strictly below the incumbent can never catch up (every
-    // later factor is ≤ 1); a hair of slack keeps factored-vs-exact ulp
-    // differences from over-pruning.
-    let prune_below = incumbent * (1.0 - 1e-9);
-    let work_prefix = oracle.work_prefix();
-    let max_speed = view.max_speed();
-    let in_ok: Vec<bool> = (0..n).map(|j| oracle.input_comm_time(j) <= bound).collect();
-
-    let full = num_states - 1; // every budget digit at its maximum m_c
-    let mut f = vec![f64::NEG_INFINITY; (n + 1) * num_states];
-    let mut choice = vec![NO_CHOICE; (n + 1) * num_states];
-    f[full] = 1.0;
-
-    // Per-class block-row gather buffers and per-class failure powers
-    // (1 − block)^q, reused across rows.
-    let mut rows: Vec<Vec<f64>> = vec![Vec::new(); kc];
-    let mut powers: Vec<Vec<f64>> = vec![vec![1.0; k_max + 1]; kc];
-
-    for i in 1..=n {
-        if oracle.output_comm_time(i - 1) > bound {
-            continue; // no interval ending at task i−1 fits the period
-        }
-        // Conservative first admissible start: even the fastest class cannot
-        // fit longer intervals within the bound.
-        let j_lo = if bound.is_finite() {
-            work_prefix[..i]
-                .partition_point(|&w| w < work_prefix[i] - bound * max_speed)
-                .saturating_sub(1)
-        } else {
-            0
-        };
-        for (c, row) in rows.iter_mut().enumerate() {
-            oracle.fill_class_block_row(c, i - 1, j_lo, row);
-        }
-        let (done, rest) = f.split_at_mut(i * num_states);
-        let row_i = &mut rest[..num_states];
-        let choice_base = i * num_states;
-        for j in (j_lo..i).rev() {
-            if !in_ok[j] {
-                continue;
-            }
-            let work = work_prefix[i] - work_prefix[j];
-            if work / max_speed > bound {
-                continue; // admissible for no pattern at all
-            }
-            for (c, row) in rows.iter().enumerate() {
-                let all_fail = 1.0 - row[j - j_lo];
-                let pow = &mut powers[c];
-                for q in 1..=k_max {
-                    pow[q] = pow[q - 1] * all_fail;
-                }
-            }
-            let row_j = &done[j * num_states..(j + 1) * num_states];
-            for (pattern_index, pattern) in patterns.iter().enumerate() {
-                if work / pattern.min_speed > bound {
-                    continue;
-                }
-                let survive: f64 = pattern
-                    .counts
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &qc)| powers[c][qc])
-                    .product();
-                let rel = 1.0 - survive;
-                let packed = (j as u64) << 32 | pattern_index as u64;
-                for &s in &pattern.valid_predecessors {
-                    let s = s as usize;
-                    let prev = row_j[s];
-                    if prev.is_finite() {
-                        let cand = prev * rel;
-                        let target = s - pattern.offset;
-                        if cand > row_i[target] && cand >= prune_below {
-                            row_i[target] = cand;
-                            choice[choice_base + target] = packed;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Best over every remaining-budget state at the final boundary.
-    let row_n = &f[n * num_states..];
-    let (best_state, best_rel) = row_n
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("totally ordered reliabilities"))
-        .map(|(s, &r)| (s, r))?;
-    if !best_rel.is_finite() {
-        return None;
-    }
-
-    // Traceback into class-level segments, then lower deterministically.
-    let mut segments: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-    let (mut i, mut s) = (n, best_state);
-    while i > 0 {
-        let packed = choice[i * num_states + s];
-        debug_assert!(packed != NO_CHOICE, "reachable state has a recorded choice");
-        let j = (packed >> 32) as usize;
-        let pattern = &patterns[(packed & 0xFFFF_FFFF) as usize];
-        segments.push((j, i - 1, pattern.counts.clone()));
-        s += pattern.offset;
-        i = j;
-    }
-    segments.reverse();
-    let (partition, assignment) =
-        assignment_from_segments(&segments, n).expect("DP segments form a valid partition");
-    let mapping = assignment
-        .lower(view, &partition, chain, platform)
-        .expect("DP respects every class budget");
-    // Report the exact Eq. 9 reliability of the lowered mapping (the DP
-    // maximized over factored values that can differ by an ulp).
-    let reliability = oracle.mapping_reliability(&mapping);
-    Some(OptimalMapping {
-        mapping,
-        reliability,
-    })
-}
-
 /// Chains longer than this are rejected by [`exhaustive_het`].
 pub const MAX_EXHAUSTIVE_HET_TASKS: usize = 12;
 
@@ -653,12 +406,12 @@ pub(crate) type Segments = Vec<(usize, usize, Vec<usize>)>;
 /// Reference brute force for heterogeneous instances: enumerates every
 /// interval partition **and** every per-interval class pattern under the
 /// shared class budgets, and returns the most reliable mapping fitting the
-/// period bound. Exponential — only for validating [`algo_het`] on tiny
-/// instances.
+/// period bound. Exponential — only for validating [`SolveCtx::algo_het`] on
+/// tiny instances.
 ///
 /// # Errors
 ///
-/// Same as [`algo_het`].
+/// Same as [`SolveCtx::algo_het`].
 ///
 /// # Panics
 ///
@@ -668,7 +421,7 @@ pub fn exhaustive_het(
     platform: &Platform,
     period_bound: Option<f64>,
 ) -> Result<OptimalMapping> {
-    let bound = validate_bound(period_bound)?;
+    let bound = validate_period_bound(period_bound)?;
     let n = chain.len();
     assert!(
         n <= MAX_EXHAUSTIVE_HET_TASKS,
@@ -816,9 +569,11 @@ mod tests {
         let c = chain();
         let p = class_platform();
         let oracle = IntervalOracle::new(&c, &p);
+        let mut scratch = crate::DpScratch::new();
+        let ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
         for bound in [None, Some(15.0), Some(40.0), Some(1000.0)] {
-            let het = algo_het_with_oracle(&oracle, &c, &p, bound).unwrap();
-            let greedy = greedy_het_with_oracle(&oracle, &c, &p, bound).unwrap();
+            let het = ctx.algo_het(bound).unwrap();
+            let greedy = ctx.greedy_het(bound).unwrap();
             assert!(
                 het.reliability >= greedy.reliability,
                 "bound {bound:?}: algo_het {} below greedy {}",
@@ -883,9 +638,11 @@ mod tests {
         let oracle = IntervalOracle::new(&c, &p);
         assert_eq!(oracle.classes().len(), 5);
         assert!(!het_dp_applicable(&oracle));
-        let sol = algo_het_with_oracle(&oracle, &c, &p, Some(100.0)).unwrap();
+        let mut scratch = crate::DpScratch::new();
+        let ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
+        let sol = ctx.algo_het(Some(100.0)).unwrap();
         assert_eq!(sol.method, HetMethod::Greedy);
-        let greedy = greedy_het_with_oracle(&oracle, &c, &p, Some(100.0)).unwrap();
+        let greedy = ctx.greedy_het(Some(100.0)).unwrap();
         assert_eq!(sol.reliability, greedy.reliability);
     }
 

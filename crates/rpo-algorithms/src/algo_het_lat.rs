@@ -42,21 +42,22 @@
 //! lies on the convex hull of the instance's (latency, log-reliability)
 //! Pareto curve; between hull points it is a heuristic — which is why the
 //! greedy pipeline's feasible incumbent is still compared at the end, and
-//! the result never trails [`greedy_het_lat_with_oracle`].
+//! the result never trails [`SolveCtx::greedy_het_lat`].
 
 use rpo_model::{assignment_from_segments, IntervalOracle, Mapping, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
 
-use crate::algo1::{DpScratch, OptimalMapping};
+use crate::algo1::OptimalMapping;
 use crate::algo_het::{
     budget_states, class_strides, enumerate_patterns, greedy_het_bounded, het_dp_applicable,
-    validate_bound, Pattern, Segments, MAX_EXHAUSTIVE_HET_TASKS,
+    Pattern, Segments, MAX_EXHAUSTIVE_HET_TASKS,
 };
-use crate::{AlgoError, Result};
+use crate::{validate_period_bound, AlgoError, Result, SolveCtx};
 
 /// Largest total number of live `(latency, reliability)` labels the exact
 /// latency DP may hold across all `(boundary, budgets)` states; beyond it
-/// the DP aborts and [`algo_het_lat`] falls back to the Lagrangian sweep.
+/// the DP aborts and [`SolveCtx::algo_het_lat`] falls back to the Lagrangian
+/// sweep.
 pub const MAX_LAT_LABELS: usize = 200_000;
 
 /// Bisection steps of the Lagrangian penalty sweep (after the initial
@@ -140,188 +141,165 @@ fn validate_latency_bound(latency_bound: f64) -> Result<f64> {
 
 /// `algo_het_lat`: the most reliable mapping of `chain` onto the (possibly
 /// heterogeneous) `platform` whose worst-case latency fits `latency_bound`,
-/// under an optional worst-case period bound.
-///
-/// Exact (label DP) whenever [`het_dp_applicable`] holds and the latency
-/// label population stays within [`MAX_LAT_LABELS`]; the Lagrangian sweep
-/// on label overflow within that regime; and the latency-aware greedy
-/// pipeline alone when the class DP is not applicable at all (too many
-/// classes / budget states). In all cases the result is never less reliable
-/// than [`greedy_het_lat_with_oracle`]'s on the same instance, and the
-/// returned mapping never violates either bound.
+/// under an optional worst-case period bound. A shim over
+/// [`SolveCtx::algo_het_lat`] with a fresh context.
 ///
 /// # Errors
 ///
-/// * [`AlgoError::InvalidBound`] if the latency bound is NaN, infinite or
-///   not positive, or the period bound is not a positive finite number;
-/// * [`AlgoError::NoFeasibleMapping`] if no mapping fits the bounds (e.g. a
-///   latency bound below the single-interval floor
-///   [`IntervalOracle::latency_floor`]).
+/// Same as [`SolveCtx::algo_het_lat`].
 pub fn algo_het_lat(
     chain: &TaskChain,
     platform: &Platform,
     period_bound: Option<f64>,
     latency_bound: f64,
 ) -> Result<HetLatSolution> {
-    let oracle = IntervalOracle::new(chain, platform);
-    algo_het_lat_with_oracle(&oracle, chain, platform, period_bound, latency_bound)
+    SolveCtx::fresh(chain, platform, |ctx| {
+        ctx.algo_het_lat(period_bound, latency_bound)
+    })
 }
 
-/// [`algo_het_lat`] against a prebuilt [`IntervalOracle`] (the portfolio
-/// shares one oracle across all its backends).
-///
-/// # Errors
-///
-/// Same as [`algo_het_lat`].
-pub fn algo_het_lat_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    latency_bound: f64,
-) -> Result<HetLatSolution> {
-    let mut scratch = DpScratch::new();
-    algo_het_lat_with_scratch(
-        oracle,
-        chain,
-        platform,
-        period_bound,
-        latency_bound,
-        &mut scratch,
-    )
-}
+impl SolveCtx<'_> {
+    /// `algo_het_lat`: the most reliable mapping of the (possibly
+    /// heterogeneous) instance whose worst-case latency fits `latency_bound`,
+    /// under an optional worst-case period bound.
+    ///
+    /// Exact (label DP) whenever [`het_dp_applicable`] holds and the latency
+    /// label population stays within [`MAX_LAT_LABELS`]; the Lagrangian sweep
+    /// on label overflow within that regime; and the latency-aware greedy
+    /// pipeline alone when the class DP is not applicable at all (too many
+    /// classes / budget states). In all cases the result is never less
+    /// reliable than [`SolveCtx::greedy_het_lat`]'s on the same instance, and
+    /// the returned mapping never violates either bound.
+    ///
+    /// The label DP's per-state label vectors and per-class gather buffers
+    /// live in the context scratch's pooled arenas, so a batch driver that
+    /// reuses one scratch across latency-bounded solves stops churning
+    /// allocations (reuse is visible through the
+    /// `het_lat.label_pool.{hits,misses}` counters).
+    ///
+    /// # Errors
+    ///
+    /// * [`AlgoError::InvalidBound`] if the latency bound is NaN, infinite or
+    ///   not positive, or the period bound is not a positive finite number;
+    /// * [`AlgoError::NoFeasibleMapping`] if no mapping fits the bounds (e.g.
+    ///   a latency bound below the single-interval floor
+    ///   [`IntervalOracle::latency_floor`]).
+    pub fn algo_het_lat(
+        &mut self,
+        period_bound: Option<f64>,
+        latency_bound: f64,
+    ) -> Result<HetLatSolution> {
+        let (oracle, chain, platform) = (self.oracle(), self.chain(), self.platform());
+        validate_period_bound(period_bound)?;
+        validate_latency_bound(latency_bound)?;
+        let _span = rpo_obs::span!("het_lat.solve", tasks = oracle.len());
 
-/// [`algo_het_lat_with_oracle`] against caller-owned [`DpScratch`]: the
-/// label DP's per-state label vectors and per-class gather buffers live in
-/// the scratch's pooled arenas ([`HetLatArenas`]), so a batch driver that
-/// reuses one scratch across latency-bounded solves stops churning
-/// allocations (reuse is visible through the
-/// `het_lat.label_pool.{hits,misses}` counters).
-///
-/// # Errors
-///
-/// Same as [`algo_het_lat`].
-pub fn algo_het_lat_with_scratch(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    latency_bound: f64,
-    scratch: &mut DpScratch,
-) -> Result<HetLatSolution> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    validate_bound(period_bound)?;
-    validate_latency_bound(latency_bound)?;
-    let _span = rpo_obs::span!("het_lat.solve", tasks = oracle.len());
-
-    // The latency-aware greedy pipeline first: fallback when the DP cannot
-    // run, upper-bound pruner when it can.
-    let greedy = greedy_het_lat_with_oracle(oracle, chain, platform, period_bound, latency_bound);
-    let greedy_reliability = greedy.as_ref().ok().map(|g| g.reliability);
-    if !het_dp_applicable(oracle) {
-        return greedy.map(|solution| {
-            let worst_case_latency = oracle.evaluate(&solution.mapping).worst_case_latency;
-            note_path(HetLatMethod::Greedy);
-            HetLatSolution {
-                front: vec![HetLatFrontPoint {
-                    mapping: solution.mapping.clone(),
+        // The latency-aware greedy pipeline first: fallback when the DP cannot
+        // run, upper-bound pruner when it can.
+        let greedy = self.greedy_het_lat(period_bound, latency_bound);
+        let greedy_reliability = greedy.as_ref().ok().map(|g| g.reliability);
+        if !het_dp_applicable(oracle) {
+            return greedy.map(|solution| {
+                let worst_case_latency = oracle.evaluate(&solution.mapping).worst_case_latency;
+                note_path(HetLatMethod::Greedy);
+                HetLatSolution {
+                    front: vec![HetLatFrontPoint {
+                        mapping: solution.mapping.clone(),
+                        reliability: solution.reliability,
+                        worst_case_latency,
+                    }],
+                    mapping: solution.mapping,
                     reliability: solution.reliability,
                     worst_case_latency,
-                }],
-                mapping: solution.mapping,
-                reliability: solution.reliability,
-                worst_case_latency,
-                method: HetLatMethod::Greedy,
-                greedy_reliability,
-            }
-        });
-    }
-
-    let incumbent = greedy_reliability.unwrap_or(0.0);
-    let (dp, method) = match label_dp(
-        oracle,
-        chain,
-        platform,
-        period_bound,
-        latency_bound,
-        incumbent,
-        &mut scratch.het_lat,
-    ) {
-        LabelDpOutcome::Solved(solution) => (solution, HetLatMethod::LatDp),
-        LabelDpOutcome::Overflow => (
-            lagrangian_sweep(oracle, chain, platform, period_bound, latency_bound)
-                .map(|solution| (solution, Vec::new())),
-            HetLatMethod::Lagrangian,
-        ),
-    };
-
-    // Both reliabilities are recomputed exactly, so picking the larger one
-    // guarantees the "never below greedy" invariant bit-for-bit. The chosen
-    // mapping always joins the surfaced front (the label DP's merged front
-    // when it ran, a singleton otherwise).
-    let finish = |mapping: Mapping,
-                  reliability: f64,
-                  method: HetLatMethod,
-                  mut front: Vec<HetLatFrontPoint>| {
-        let evaluation = oracle.evaluate(&mapping);
-        debug_assert!(evaluation.worst_case_latency <= latency_bound);
-        note_path(method);
-        if !front.iter().any(|point| point.mapping == mapping) {
-            front.push(HetLatFrontPoint {
-                mapping: mapping.clone(),
-                reliability,
-                worst_case_latency: evaluation.worst_case_latency,
+                    method: HetLatMethod::Greedy,
+                    greedy_reliability,
+                }
             });
         }
-        HetLatSolution {
-            mapping,
-            reliability,
-            worst_case_latency: evaluation.worst_case_latency,
-            method,
-            greedy_reliability,
-            front,
-        }
-    };
-    match (dp, greedy) {
-        (Some((dp, front)), Ok(greedy)) if greedy.reliability > dp.reliability => Ok(finish(
-            greedy.mapping,
-            greedy.reliability,
-            HetLatMethod::Greedy,
-            front,
-        )),
-        (Some((dp, front)), _) => Ok(finish(dp.mapping, dp.reliability, method, front)),
-        (None, Ok(greedy)) => Ok(finish(
-            greedy.mapping,
-            greedy.reliability,
-            HetLatMethod::Greedy,
-            Vec::new(),
-        )),
-        (None, Err(e)) => Err(e),
-    }
-}
 
-/// The Section 7.2 greedy pipeline under **both** real-time bounds: Heur-L
-/// and Heur-P partitions for every interval count, each allocated with
-/// `alloc_het`, keeping the most reliable mapping whose worst-case period
-/// *and* latency fit the bounds — the latency-aware analogue of
-/// [`greedy_het_with_oracle`], and the comparison baseline of the
-/// `BENCH_het_lat.json` benchmark and the `--het-lat` experiment sweep.
-///
-/// # Errors
-///
-/// * [`AlgoError::InvalidBound`] if a bound is invalid;
-/// * [`AlgoError::NoFeasibleMapping`] if no candidate fits the bounds.
-pub fn greedy_het_lat_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    latency_bound: f64,
-) -> Result<OptimalMapping> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    let bound = validate_bound(period_bound)?;
-    let latency_bound = validate_latency_bound(latency_bound)?;
-    greedy_het_bounded(oracle, chain, platform, bound, latency_bound)
+        let incumbent = greedy_reliability.unwrap_or(0.0);
+        let (dp, method) = match label_dp(
+            oracle,
+            chain,
+            platform,
+            period_bound,
+            latency_bound,
+            incumbent,
+            &mut self.scratch.het_lat,
+        ) {
+            LabelDpOutcome::Solved(solution) => (solution, HetLatMethod::LatDp),
+            LabelDpOutcome::Overflow => (
+                lagrangian_sweep(oracle, chain, platform, period_bound, latency_bound)
+                    .map(|solution| (solution, Vec::new())),
+                HetLatMethod::Lagrangian,
+            ),
+        };
+
+        // Both reliabilities are recomputed exactly, so picking the larger one
+        // guarantees the "never below greedy" invariant bit-for-bit. The chosen
+        // mapping always joins the surfaced front (the label DP's merged front
+        // when it ran, a singleton otherwise).
+        let finish = |mapping: Mapping,
+                      reliability: f64,
+                      method: HetLatMethod,
+                      mut front: Vec<HetLatFrontPoint>| {
+            let evaluation = oracle.evaluate(&mapping);
+            debug_assert!(evaluation.worst_case_latency <= latency_bound);
+            note_path(method);
+            if !front.iter().any(|point| point.mapping == mapping) {
+                front.push(HetLatFrontPoint {
+                    mapping: mapping.clone(),
+                    reliability,
+                    worst_case_latency: evaluation.worst_case_latency,
+                });
+            }
+            HetLatSolution {
+                mapping,
+                reliability,
+                worst_case_latency: evaluation.worst_case_latency,
+                method,
+                greedy_reliability,
+                front,
+            }
+        };
+        match (dp, greedy) {
+            (Some((dp, front)), Ok(greedy)) if greedy.reliability > dp.reliability => Ok(finish(
+                greedy.mapping,
+                greedy.reliability,
+                HetLatMethod::Greedy,
+                front,
+            )),
+            (Some((dp, front)), _) => Ok(finish(dp.mapping, dp.reliability, method, front)),
+            (None, Ok(greedy)) => Ok(finish(
+                greedy.mapping,
+                greedy.reliability,
+                HetLatMethod::Greedy,
+                Vec::new(),
+            )),
+            (None, Err(e)) => Err(e),
+        }
+    }
+
+    /// The Section 7.2 greedy pipeline under **both** real-time bounds:
+    /// Heur-L and Heur-P partitions for every interval count, each allocated
+    /// with `alloc_het`, keeping the most reliable mapping whose worst-case
+    /// period *and* latency fit the bounds — the latency-aware analogue of
+    /// [`SolveCtx::greedy_het`], and the comparison baseline of the
+    /// `BENCH_het_lat.json` benchmark and the `--het-lat` experiment sweep.
+    ///
+    /// # Errors
+    ///
+    /// * [`AlgoError::InvalidBound`] if a bound is invalid;
+    /// * [`AlgoError::NoFeasibleMapping`] if no candidate fits the bounds.
+    pub fn greedy_het_lat(
+        &self,
+        period_bound: Option<f64>,
+        latency_bound: f64,
+    ) -> Result<OptimalMapping> {
+        let bound = validate_period_bound(period_bound)?;
+        let latency_bound = validate_latency_bound(latency_bound)?;
+        greedy_het_bounded(self, bound, latency_bound)
+    }
 }
 
 /// One `(latency, reliability)` label of a `(boundary, budgets)` state, with
@@ -336,7 +314,7 @@ pub(crate) struct Label {
     pred_label: u32,
 }
 
-/// Pooled arenas of the latency label DP, owned by [`DpScratch`] so batch
+/// Pooled arenas of the latency label DP, owned by [`DpScratch`](crate::DpScratch) so batch
 /// callers reuse the per-state label vectors and per-class gather buffers
 /// across latency-bounded solves instead of reallocating them per instance.
 /// Every buffer is cleared (capacity kept) before use, so no label or block
@@ -878,11 +856,11 @@ fn lagrangian_sweep(
 /// returns the most reliable mapping fitting **both** bounds. Latency is
 /// accumulated from the same [`IntervalOracle::class_latency_term`] grid as
 /// the DP, so the two agree bit-for-bit on feasibility. Exponential — only
-/// for validating [`algo_het_lat`] on tiny instances.
+/// for validating [`SolveCtx::algo_het_lat`] on tiny instances.
 ///
 /// # Errors
 ///
-/// Same as [`algo_het_lat`].
+/// Same as [`SolveCtx::algo_het_lat`].
 ///
 /// # Panics
 ///
@@ -893,7 +871,7 @@ pub fn exhaustive_het_lat(
     period_bound: Option<f64>,
     latency_bound: f64,
 ) -> Result<OptimalMapping> {
-    let bound = validate_bound(period_bound)?;
+    let bound = validate_period_bound(period_bound)?;
     let latency_bound = validate_latency_bound(latency_bound)?;
     let n = chain.len();
     assert!(
@@ -1127,9 +1105,11 @@ mod tests {
         let c = chain();
         let p = class_platform();
         let oracle = IntervalOracle::new(&c, &p);
+        let mut scratch = crate::DpScratch::new();
+        let mut ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
         for latency in [28.0, 40.0, 60.0, 200.0] {
-            let dp = algo_het_lat_with_oracle(&oracle, &c, &p, Some(40.0), latency);
-            let greedy = greedy_het_lat_with_oracle(&oracle, &c, &p, Some(40.0), latency);
+            let dp = ctx.algo_het_lat(Some(40.0), latency);
+            let greedy = ctx.greedy_het_lat(Some(40.0), latency);
             if let Ok(greedy) = greedy {
                 let dp = dp.expect("greedy feasible implies algo_het_lat feasible");
                 assert!(
@@ -1189,9 +1169,11 @@ mod tests {
         let c = chain();
         let p = class_platform();
         let oracle = IntervalOracle::new(&c, &p);
+        let mut scratch = crate::DpScratch::new();
+        let mut ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
         for period in [Some(30.0), Some(110.0), None] {
-            let lat = algo_het_lat_with_oracle(&oracle, &c, &p, period, 1e9).unwrap();
-            let het = crate::algo_het_with_oracle(&oracle, &c, &p, period).unwrap();
+            let lat = ctx.algo_het_lat(period, 1e9).unwrap();
+            let het = ctx.algo_het(period).unwrap();
             assert!(
                 (lat.reliability - het.reliability).abs() <= 1e-12 * het.reliability,
                 "period {period:?}: {} vs {}",
@@ -1214,9 +1196,11 @@ mod tests {
         let p = builder.build().unwrap();
         let oracle = IntervalOracle::new(&c, &p);
         assert!(!het_dp_applicable(&oracle));
-        let sol = algo_het_lat_with_oracle(&oracle, &c, &p, Some(100.0), 100.0).unwrap();
+        let mut scratch = crate::DpScratch::new();
+        let mut ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
+        let sol = ctx.algo_het_lat(Some(100.0), 100.0).unwrap();
         assert_eq!(sol.method, HetLatMethod::Greedy);
-        let greedy = greedy_het_lat_with_oracle(&oracle, &c, &p, Some(100.0), 100.0).unwrap();
+        let greedy = ctx.greedy_het_lat(Some(100.0), 100.0).unwrap();
         assert_eq!(sol.reliability, greedy.reliability);
         assert!(sol.worst_case_latency <= 100.0);
     }
@@ -1229,7 +1213,7 @@ mod tests {
         let c = chain();
         let p = class_platform();
         let oracle = IntervalOracle::new(&c, &p);
-        let exact = algo_het_lat_with_oracle(&oracle, &c, &p, Some(40.0), 45.0).unwrap();
+        let exact = algo_het_lat(&c, &p, Some(40.0), 45.0).unwrap();
         let swept = lagrangian_sweep(&oracle, &c, &p, Some(40.0), 45.0).unwrap();
         let eval = oracle.evaluate(&swept.mapping);
         assert!(eval.worst_case_latency <= 45.0);
@@ -1266,7 +1250,7 @@ mod tests {
         // And μ = 0 recovers the latency-unconstrained reliability optimum.
         let (_, reliability, _) =
             penalized_dp(&oracle, &c, &p, f64::INFINITY, 0.0, num_states, &patterns).unwrap();
-        let het = crate::algo_het_with_oracle(&oracle, &c, &p, None).unwrap();
+        let het = crate::algo_het(&c, &p, None).unwrap();
         assert!((reliability - het.reliability).abs() <= 1e-12 * het.reliability);
     }
 

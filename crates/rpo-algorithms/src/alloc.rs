@@ -16,7 +16,7 @@
 
 use rpo_model::{IntervalOracle, IntervalPartition, MappedInterval, Mapping, Platform, TaskChain};
 
-use crate::{AlgoError, Result};
+use crate::{AlgoError, Result, SolveCtx};
 
 /// Replication counts chosen for each interval (same order as the partition).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,55 +52,52 @@ impl AllocationPlan {
 
 /// Algo-Alloc: computes the optimal number of replicas per interval of
 /// `partition` on a homogeneous platform, and returns the corresponding
-/// mapping.
+/// mapping. A shim over [`SolveCtx::algo_alloc`] with a fresh context.
 ///
 /// # Errors
 ///
-/// * [`AlgoError::HeterogeneousPlatform`] if the platform is not homogeneous;
-/// * [`AlgoError::NotEnoughProcessors`] if there are fewer processors than
-///   intervals.
+/// Same as [`SolveCtx::algo_alloc`].
 pub fn algo_alloc(
     chain: &TaskChain,
     platform: &Platform,
     partition: &IntervalPartition,
 ) -> Result<Mapping> {
-    let oracle = IntervalOracle::new(chain, platform);
-    algo_alloc_with_oracle(&oracle, chain, platform, partition)
+    SolveCtx::fresh(chain, platform, |ctx| ctx.algo_alloc(partition))
 }
 
-/// Algo-Alloc against a prebuilt [`IntervalOracle`].
-///
-/// # Errors
-///
-/// Same as [`algo_alloc`].
-pub fn algo_alloc_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    partition: &IntervalPartition,
-) -> Result<Mapping> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    let plan = algo_alloc_plan_with_oracle(oracle, partition)?;
-    plan.into_mapping(partition, chain, platform)
+impl SolveCtx<'_> {
+    /// Algo-Alloc: computes the optimal number of replicas per interval of
+    /// `partition` on a homogeneous platform, and returns the corresponding
+    /// mapping.
+    ///
+    /// # Errors
+    ///
+    /// * [`AlgoError::HeterogeneousPlatform`] if the platform is not
+    ///   homogeneous;
+    /// * [`AlgoError::NotEnoughProcessors`] if there are fewer processors
+    ///   than intervals.
+    pub fn algo_alloc(&self, partition: &IntervalPartition) -> Result<Mapping> {
+        let plan = allocation_plan(self.oracle(), partition)?;
+        plan.into_mapping(partition, self.chain(), self.platform())
+    }
 }
 
 /// The replica-count computation behind [`algo_alloc`], exposed for tests and
 /// ablation benchmarks.
+///
+/// # Errors
+///
+/// Same as [`SolveCtx::algo_alloc`].
 pub fn algo_alloc_plan(
     chain: &TaskChain,
     platform: &Platform,
     partition: &IntervalPartition,
 ) -> Result<AllocationPlan> {
-    let oracle = IntervalOracle::new(chain, platform);
-    algo_alloc_plan_with_oracle(&oracle, partition)
+    allocation_plan(&IntervalOracle::new(chain, platform), partition)
 }
 
 /// The replica-count computation against a prebuilt [`IntervalOracle`].
-///
-/// # Errors
-///
-/// Same as [`algo_alloc_plan`].
-pub fn algo_alloc_plan_with_oracle(
+pub(crate) fn allocation_plan(
     oracle: &IntervalOracle,
     partition: &IntervalPartition,
 ) -> Result<AllocationPlan> {

@@ -24,7 +24,7 @@
 //! only allocates — the partition must come from elsewhere (Heur-L/Heur-P).
 //! On platforms with **few distinct processor classes** — the common real
 //! shape — the exact class-level dynamic program
-//! [`crate::algo_het::algo_het`] jointly optimizes the partition *and* the
+//! [`SolveCtx::algo_het`] jointly optimizes the partition *and* the
 //! per-class replica counts, and is never less reliable than the greedy
 //! pipeline built on this allocator (`BENCH_het.json` measures the gain at
 //! the paper's 10-processor setup). The greedy path remains the right tool
@@ -34,11 +34,10 @@
 //! notion of them), or as the DP's own fallback and upper-bound pruner.
 
 use rpo_model::{
-    Interval, IntervalOracle, IntervalPartition, MappedInterval, Mapping, Platform, ProcessorId,
-    TaskChain,
+    Interval, IntervalPartition, MappedInterval, Mapping, Platform, ProcessorId, TaskChain,
 };
 
-use crate::{AlgoError, Result};
+use crate::{AlgoError, Result, SolveCtx};
 
 /// Restricts which processors may execute which task.
 ///
@@ -74,15 +73,12 @@ impl AllocationConstraints {
 }
 
 /// Section 7.2 allocation: assigns heterogeneous processors to the intervals
-/// of `partition` under a period bound, maximizing reliability greedily.
+/// of `partition` under a period bound, maximizing reliability greedily. A
+/// shim over [`SolveCtx::algo_alloc_heterogeneous`] with a fresh context.
 ///
 /// # Errors
 ///
-/// * [`AlgoError::InvalidBound`] if the period bound is not positive and
-///   finite;
-/// * [`AlgoError::NoFeasibleMapping`] if some interval cannot receive any
-///   processor without violating the period bound (or the allocation
-///   constraints).
+/// Same as [`SolveCtx::algo_alloc_heterogeneous`].
 pub fn algo_alloc_heterogeneous(
     chain: &TaskChain,
     platform: &Platform,
@@ -90,114 +86,115 @@ pub fn algo_alloc_heterogeneous(
     period_bound: f64,
     constraints: &AllocationConstraints,
 ) -> Result<Mapping> {
-    let oracle = IntervalOracle::new(chain, platform);
-    algo_alloc_heterogeneous_with_oracle(
-        &oracle,
-        chain,
-        platform,
-        partition,
-        period_bound,
-        constraints,
-    )
+    SolveCtx::fresh(chain, platform, |ctx| {
+        ctx.algo_alloc_heterogeneous(partition, period_bound, constraints)
+    })
 }
 
-/// Section 7.2 allocation against a prebuilt [`IntervalOracle`]: interval
-/// works, replica-set reliabilities and the per-processor period checks are
-/// all O(1) oracle reads.
-///
-/// # Errors
-///
-/// Same as [`algo_alloc_heterogeneous`].
-pub fn algo_alloc_heterogeneous_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    partition: &IntervalPartition,
-    period_bound: f64,
-    constraints: &AllocationConstraints,
-) -> Result<Mapping> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    if !(period_bound.is_finite() && period_bound > 0.0) {
-        return Err(AlgoError::InvalidBound("period bound"));
-    }
-    let m = partition.len();
-    let p = platform.num_processors();
-    if p < m {
-        return Err(AlgoError::NotEnoughProcessors {
-            intervals: m,
-            processors: p,
-        });
-    }
-    let k_max = platform.max_replication();
-
-    // Replica sets under construction, one per interval.
-    let mut assigned: Vec<Vec<ProcessorId>> = vec![Vec::new(); m];
-    let order = platform.processors_by_reliability_ratio();
-    let mut remaining: Vec<ProcessorId> = Vec::new();
-
-    // Phase 1: most reliable processors first, each to the largest interval
-    // that has no processor yet and that it can execute within the period.
-    let mut order_iter = order.into_iter();
-    while assigned.iter().any(Vec::is_empty) {
-        let Some(u) = order_iter.next() else {
-            return Err(AlgoError::NoFeasibleMapping);
-        };
-        let interval_work =
-            |j: usize| oracle.work(partition.interval(j).first, partition.interval(j).last);
-        let candidate = (0..m)
-            .filter(|&j| assigned[j].is_empty())
-            .filter(|&j| constraints.allows(partition.interval(j), u))
-            .filter(|&j| interval_work(j) / platform.speed(u) <= period_bound)
-            .max_by(|&a, &b| {
-                interval_work(a)
-                    .partial_cmp(&interval_work(b))
-                    .expect("finite works")
-                    .then(b.cmp(&a))
-            });
-        match candidate {
-            Some(j) => assigned[j].push(u),
-            None => remaining.push(u),
+impl SolveCtx<'_> {
+    /// Section 7.2 allocation: assigns heterogeneous processors to the intervals
+    /// of `partition` under a period bound, maximizing reliability greedily.
+    /// Interval works, replica-set reliabilities and the per-processor period
+    /// checks are all O(1) oracle reads.
+    ///
+    /// # Errors
+    ///
+    /// * [`AlgoError::InvalidBound`] if the period bound is not positive and
+    ///   finite;
+    /// * [`AlgoError::NoFeasibleMapping`] if some interval cannot receive any
+    ///   processor without violating the period bound (or the allocation
+    ///   constraints).
+    pub fn algo_alloc_heterogeneous(
+        &self,
+        partition: &IntervalPartition,
+        period_bound: f64,
+        constraints: &AllocationConstraints,
+    ) -> Result<Mapping> {
+        let (oracle, chain, platform) = (self.oracle(), self.chain(), self.platform());
+        if !(period_bound.is_finite() && period_bound > 0.0) {
+            return Err(AlgoError::InvalidBound("period bound"));
         }
-    }
-    remaining.extend(order_iter);
-
-    // Phase 2: remaining processors go to the interval with the best
-    // reliability ratio, subject to the period bound and the replication cap.
-    for u in remaining {
-        let candidate = (0..m)
-            .filter(|&j| assigned[j].len() < k_max)
-            .filter(|&j| constraints.allows(partition.interval(j), u))
-            .filter(|&j| {
-                let itv = partition.interval(j);
-                oracle.work(itv.first, itv.last) / platform.speed(u) <= period_bound
-            })
-            .map(|j| {
-                let itv = partition.interval(j);
-                let current = oracle.replicated_set_reliability(&assigned[j], itv.first, itv.last);
-                // One more replica multiplies the failure product by
-                // (1 − block_u); no need to re-walk the whole set.
-                let improved = 1.0
-                    - (1.0 - current) * (1.0 - oracle.block_reliability(u, itv.first, itv.last));
-                (j, improved / current)
-            })
-            .max_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("finite ratios")
-                    .then(b.0.cmp(&a.0))
+        let m = partition.len();
+        let p = platform.num_processors();
+        if p < m {
+            return Err(AlgoError::NotEnoughProcessors {
+                intervals: m,
+                processors: p,
             });
-        if let Some((j, _)) = candidate {
-            assigned[j].push(u);
         }
-        // A processor that fits nowhere is simply left unused.
-    }
+        let k_max = platform.max_replication();
 
-    let mapped = partition
-        .intervals()
-        .iter()
-        .zip(assigned)
-        .map(|(&interval, processors)| MappedInterval::new(interval, processors))
-        .collect();
-    Ok(Mapping::new(mapped, chain, platform)?)
+        // Replica sets under construction, one per interval.
+        let mut assigned: Vec<Vec<ProcessorId>> = vec![Vec::new(); m];
+        let order = platform.processors_by_reliability_ratio();
+        let mut remaining: Vec<ProcessorId> = Vec::new();
+
+        // Phase 1: most reliable processors first, each to the largest interval
+        // that has no processor yet and that it can execute within the period.
+        let mut order_iter = order.into_iter();
+        while assigned.iter().any(Vec::is_empty) {
+            let Some(u) = order_iter.next() else {
+                return Err(AlgoError::NoFeasibleMapping);
+            };
+            let interval_work =
+                |j: usize| oracle.work(partition.interval(j).first, partition.interval(j).last);
+            let candidate = (0..m)
+                .filter(|&j| assigned[j].is_empty())
+                .filter(|&j| constraints.allows(partition.interval(j), u))
+                .filter(|&j| interval_work(j) / platform.speed(u) <= period_bound)
+                .max_by(|&a, &b| {
+                    interval_work(a)
+                        .partial_cmp(&interval_work(b))
+                        .expect("finite works")
+                        .then(b.cmp(&a))
+                });
+            match candidate {
+                Some(j) => assigned[j].push(u),
+                None => remaining.push(u),
+            }
+        }
+        remaining.extend(order_iter);
+
+        // Phase 2: remaining processors go to the interval with the best
+        // reliability ratio, subject to the period bound and the replication cap.
+        for u in remaining {
+            let candidate = (0..m)
+                .filter(|&j| assigned[j].len() < k_max)
+                .filter(|&j| constraints.allows(partition.interval(j), u))
+                .filter(|&j| {
+                    let itv = partition.interval(j);
+                    oracle.work(itv.first, itv.last) / platform.speed(u) <= period_bound
+                })
+                .map(|j| {
+                    let itv = partition.interval(j);
+                    let current =
+                        oracle.replicated_set_reliability(&assigned[j], itv.first, itv.last);
+                    // One more replica multiplies the failure product by
+                    // (1 − block_u); no need to re-walk the whole set.
+                    let improved = 1.0
+                        - (1.0 - current)
+                            * (1.0 - oracle.block_reliability(u, itv.first, itv.last));
+                    (j, improved / current)
+                })
+                .max_by(|a, b| {
+                    a.1.partial_cmp(&b.1)
+                        .expect("finite ratios")
+                        .then(b.0.cmp(&a.0))
+                });
+            if let Some((j, _)) = candidate {
+                assigned[j].push(u);
+            }
+            // A processor that fits nowhere is simply left unused.
+        }
+
+        let mapped = partition
+            .intervals()
+            .iter()
+            .zip(assigned)
+            .map(|(&interval, processors)| MappedInterval::new(interval, processors))
+            .collect();
+        Ok(Mapping::new(mapped, chain, platform)?)
+    }
 }
 
 #[cfg(test)]

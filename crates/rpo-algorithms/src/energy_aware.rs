@@ -14,8 +14,8 @@ use rpo_model::energy::{self, PowerModel};
 use rpo_model::{IntervalOracle, MappedInterval, Mapping, MappingEvaluation, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
 
-use crate::heuristic::{run_heuristic_with_oracle, HeuristicConfig, HeuristicSolution};
-use crate::{AlgoError, Result};
+use crate::heuristic::{HeuristicConfig, HeuristicSolution};
+use crate::{AlgoError, Result, SolveCtx};
 
 /// Configuration of an energy-budgeted heuristic run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -103,7 +103,7 @@ fn prune_to_budget(
 /// # Errors
 ///
 /// * [`AlgoError::InvalidBound`] if the energy budget is not positive;
-/// * the errors of [`run_heuristic`];
+/// * the errors of [`run_heuristic`](crate::run_heuristic);
 /// * [`AlgoError::NoFeasibleMapping`] if no candidate fits all three budgets.
 pub fn run_energy_aware_heuristic(
     chain: &TaskChain,
@@ -113,32 +113,33 @@ pub fn run_energy_aware_heuristic(
     if config.energy_budget <= 0.0 || config.energy_budget.is_nan() {
         return Err(AlgoError::InvalidBound("energy budget"));
     }
-    let oracle = IntervalOracle::new(chain, platform);
-    // Start from the unbudgeted heuristic solution for every interval count:
-    // run_heuristic already returns the best one; to keep the search broad we
-    // prune that best candidate and also the single-interval fallback.
-    let base: HeuristicSolution =
-        run_heuristic_with_oracle(&oracle, chain, platform, &config.base)?;
+    SolveCtx::fresh(chain, platform, |ctx| {
+        let oracle = ctx.oracle();
+        // Start from the unbudgeted heuristic solution for every interval count:
+        // run_heuristic already returns the best one; to keep the search broad we
+        // prune that best candidate and also the single-interval fallback.
+        let base: HeuristicSolution = ctx.run_heuristic(&config.base)?;
 
-    let pruned = prune_to_budget(
-        &oracle,
-        chain,
-        platform,
-        &base.mapping,
-        &config.power_model,
-        config.energy_budget,
-    )
-    .ok_or(AlgoError::NoFeasibleMapping)?;
+        let pruned = prune_to_budget(
+            oracle,
+            chain,
+            platform,
+            &base.mapping,
+            &config.power_model,
+            config.energy_budget,
+        )
+        .ok_or(AlgoError::NoFeasibleMapping)?;
 
-    let evaluation = oracle.evaluate(&pruned);
-    if !evaluation.meets(config.base.period_bound, config.base.latency_bound) {
-        return Err(AlgoError::NoFeasibleMapping);
-    }
-    let energy = energy::evaluate_energy(chain, platform, &pruned, &config.power_model);
-    Ok(EnergyAwareSolution {
-        mapping: pruned,
-        evaluation,
-        energy,
+        let evaluation = oracle.evaluate(&pruned);
+        if !evaluation.meets(config.base.period_bound, config.base.latency_bound) {
+            return Err(AlgoError::NoFeasibleMapping);
+        }
+        let energy = energy::evaluate_energy(chain, platform, &pruned, &config.power_model);
+        Ok(EnergyAwareSolution {
+            mapping: pruned,
+            evaluation,
+            energy,
+        })
     })
 }
 

@@ -6,7 +6,7 @@ use rpo_model::{BlockReliabilityTable, IntervalOracle, IntervalPartition, Platfo
 
 use crate::algo1::OptimalMapping;
 use crate::alloc::{greedy_replicas, AllocationPlan};
-use crate::{debug_assert_oracle_matches, AlgoError, Result};
+use crate::{AlgoError, Result, SolveCtx};
 
 /// Chains longer than this are rejected (the enumeration is `O(2^{n−1})`).
 pub const MAX_EXHAUSTIVE_TASKS: usize = 26;
@@ -63,18 +63,12 @@ fn partition_feasible(
 }
 
 /// Certified-optimal solver for the tri-criteria problem on homogeneous
-/// platforms: maximize reliability subject to worst-case period and latency
-/// bounds (use `f64::INFINITY` for an absent bound).
-///
-/// Every interval partition is enumerated; feasible ones receive their optimal
-/// processor allocation from Algo-Alloc (Theorem 4), and the most reliable
-/// result is returned.
+/// platforms. A shim over [`SolveCtx::optimal_homogeneous`] with a fresh
+/// context.
 ///
 /// # Errors
 ///
-/// * [`AlgoError::HeterogeneousPlatform`], [`AlgoError::InvalidBound`] on bad
-///   inputs;
-/// * [`AlgoError::NoFeasibleMapping`] if no partition meets the bounds.
+/// Same as [`SolveCtx::optimal_homogeneous`].
 ///
 /// # Panics
 ///
@@ -85,52 +79,62 @@ pub fn optimal_homogeneous(
     period_bound: f64,
     latency_bound: f64,
 ) -> Result<OptimalMapping> {
-    let oracle = IntervalOracle::new(chain, platform);
-    optimal_homogeneous_with_oracle(&oracle, chain, platform, period_bound, latency_bound)
+    SolveCtx::fresh(chain, platform, |ctx| {
+        ctx.optimal_homogeneous(period_bound, latency_bound)
+    })
 }
 
-/// [`optimal_homogeneous`] against a prebuilt [`IntervalOracle`].
-///
-/// # Errors
-///
-/// Same as [`optimal_homogeneous`].
-///
-/// # Panics
-///
-/// Panics if the chain exceeds [`MAX_EXHAUSTIVE_TASKS`] tasks.
-pub fn optimal_homogeneous_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: f64,
-    latency_bound: f64,
-) -> Result<OptimalMapping> {
-    debug_assert_oracle_matches(oracle, chain, platform);
-    check_inputs(chain, platform, period_bound, latency_bound)?;
-    let p = oracle.num_processors();
-    let k_max = oracle.max_replication();
-    let speed = platform.speed(0);
-    // One dense block table amortizes the per-interval `exp`s over all
-    // 2^{n−1} partitions: the sweep below is multiplication-only.
-    let table = oracle.class_block_table(0);
+impl SolveCtx<'_> {
+    /// Certified-optimal solver for the tri-criteria problem on homogeneous
+    /// platforms: maximize reliability subject to worst-case period and latency
+    /// bounds (use `f64::INFINITY` for an absent bound).
+    ///
+    /// Every interval partition is enumerated; feasible ones receive their optimal
+    /// processor allocation from Algo-Alloc (Theorem 4), and the most reliable
+    /// result is returned.
+    ///
+    /// # Errors
+    ///
+    /// * [`AlgoError::HeterogeneousPlatform`], [`AlgoError::InvalidBound`] on bad
+    ///   inputs;
+    /// * [`AlgoError::NoFeasibleMapping`] if no partition meets the bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain exceeds [`MAX_EXHAUSTIVE_TASKS`] tasks.
+    pub fn optimal_homogeneous(
+        &self,
+        period_bound: f64,
+        latency_bound: f64,
+    ) -> Result<OptimalMapping> {
+        let (oracle, chain, platform) = (self.oracle(), self.chain(), self.platform());
+        check_inputs(chain, platform, period_bound, latency_bound)?;
+        let p = oracle.num_processors();
+        let k_max = oracle.max_replication();
+        let speed = platform.speed(0);
+        // One dense block table amortizes the per-interval `exp`s over all
+        // 2^{n−1} partitions: the sweep below is multiplication-only.
+        let table = oracle.class_block_table(0);
 
-    let mut best: Option<OptimalMapping> = None;
-    for partition in partitions(chain) {
-        if partition.len() > p
-            || !partition_feasible(oracle, speed, &partition, period_bound, latency_bound)
-        {
-            continue;
+        let mut best: Option<OptimalMapping> = None;
+        for partition in partitions(chain) {
+            if partition.len() > p
+                || !partition_feasible(oracle, speed, &partition, period_bound, latency_bound)
+            {
+                continue;
+            }
+            let (replicas, reliability) = allocate_from_table(&table, &partition, p, k_max);
+            if best.as_ref().is_none_or(|b| reliability > b.reliability) {
+                let mapping =
+                    AllocationPlan { replicas }.into_mapping(&partition, chain, platform)?;
+                best = Some(OptimalMapping {
+                    mapping,
+                    reliability,
+                });
+            }
         }
-        let (replicas, reliability) = allocate_from_table(&table, &partition, p, k_max);
-        if best.as_ref().is_none_or(|b| reliability > b.reliability) {
-            let mapping = AllocationPlan { replicas }.into_mapping(&partition, chain, platform)?;
-            best = Some(OptimalMapping {
-                mapping,
-                reliability,
-            });
-        }
+        best.ok_or(AlgoError::NoFeasibleMapping)
     }
-    best.ok_or(AlgoError::NoFeasibleMapping)
 }
 
 /// Algo-Alloc + reliability product for one partition, reading every block

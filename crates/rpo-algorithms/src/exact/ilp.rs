@@ -17,10 +17,10 @@
 //!   reliabilities (the printed objective only uses the computation term).
 
 use rpo_lp::{ConstraintOp, IlpStatus, Objective, Problem};
-use rpo_model::{Interval, IntervalOracle, MappedInterval, Mapping, Platform, TaskChain};
+use rpo_model::{Interval, MappedInterval, Mapping, Platform, TaskChain};
 
 use crate::algo1::OptimalMapping;
-use crate::{AlgoError, Result};
+use crate::{AlgoError, Result, SolveCtx};
 
 /// One candidate decision `a_{i,j,k}`: interval `first..=last` on `replicas`
 /// processors.
@@ -59,28 +59,17 @@ pub fn build_ilp(
     period_bound: f64,
     latency_bound: f64,
 ) -> Result<MappingIlp> {
-    let oracle = IntervalOracle::new(chain, platform);
-    build_ilp_with_oracle(&oracle, platform, period_bound, latency_bound)
+    SolveCtx::fresh(chain, platform, |ctx| {
+        mapping_ilp(ctx, period_bound, latency_bound)
+    })
 }
 
-/// [`build_ilp`] against a prebuilt [`IntervalOracle`]: period admissibility,
+/// [`build_ilp`] against the context's oracle: period admissibility,
 /// per-column reliabilities and the latency coefficients are all O(1) oracle
 /// reads (one dense block table per instance instead of three `exp`s per
 /// column).
-///
-/// # Errors
-///
-/// Same as [`build_ilp`].
-pub fn build_ilp_with_oracle(
-    oracle: &IntervalOracle,
-    platform: &Platform,
-    period_bound: f64,
-    latency_bound: f64,
-) -> Result<MappingIlp> {
-    debug_assert!(
-        oracle.num_processors() == platform.num_processors(),
-        "IntervalOracle was built for a different platform"
-    );
+fn mapping_ilp(ctx: &SolveCtx<'_>, period_bound: f64, latency_bound: f64) -> Result<MappingIlp> {
+    let (oracle, platform) = (ctx.oracle(), ctx.platform());
     if !oracle.is_homogeneous() {
         return Err(AlgoError::HeterogeneousPlatform);
     }
@@ -162,74 +151,74 @@ pub fn build_ilp_with_oracle(
 }
 
 /// Solves the tri-criteria problem on a homogeneous platform through the
-/// Section 5.4 ILP and reconstructs the selected mapping.
+/// Section 5.4 ILP and reconstructs the selected mapping. A shim over
+/// [`SolveCtx::optimal_by_ilp`] with a fresh context.
 ///
 /// # Errors
 ///
-/// * the input errors of [`build_ilp`];
-/// * [`AlgoError::NoFeasibleMapping`] if the program is infeasible (or the
-///   branch-and-bound node limit is hit before finding any solution).
+/// Same as [`SolveCtx::optimal_by_ilp`].
 pub fn optimal_by_ilp(
     chain: &TaskChain,
     platform: &Platform,
     period_bound: f64,
     latency_bound: f64,
 ) -> Result<OptimalMapping> {
-    let oracle = IntervalOracle::new(chain, platform);
-    optimal_by_ilp_with_oracle(&oracle, chain, platform, period_bound, latency_bound)
+    SolveCtx::fresh(chain, platform, |ctx| {
+        ctx.optimal_by_ilp(period_bound, latency_bound)
+    })
 }
 
-/// [`optimal_by_ilp`] against a prebuilt [`IntervalOracle`].
-///
-/// # Errors
-///
-/// Same as [`optimal_by_ilp`].
-pub fn optimal_by_ilp_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: f64,
-    latency_bound: f64,
-) -> Result<OptimalMapping> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    let ilp = build_ilp_with_oracle(oracle, platform, period_bound, latency_bound)?;
-    let solution = rpo_lp::solve_ilp(&ilp.problem);
-    match solution.status {
-        IlpStatus::Optimal | IlpStatus::NodeLimit if !solution.x.is_empty() => {}
-        _ => return Err(AlgoError::NoFeasibleMapping),
-    }
+impl SolveCtx<'_> {
+    /// Solves the tri-criteria problem on a homogeneous platform through the
+    /// Section 5.4 ILP and reconstructs the selected mapping.
+    ///
+    /// # Errors
+    ///
+    /// * the input errors of [`build_ilp`];
+    /// * [`AlgoError::NoFeasibleMapping`] if the program is infeasible (or the
+    ///   branch-and-bound node limit is hit before finding any solution).
+    pub fn optimal_by_ilp(&self, period_bound: f64, latency_bound: f64) -> Result<OptimalMapping> {
+        let (oracle, chain, platform) = (self.oracle(), self.chain(), self.platform());
+        let ilp = mapping_ilp(self, period_bound, latency_bound)?;
+        let solution = rpo_lp::solve_ilp(&ilp.problem);
+        match solution.status {
+            IlpStatus::Optimal | IlpStatus::NodeLimit if !solution.x.is_empty() => {}
+            _ => return Err(AlgoError::NoFeasibleMapping),
+        }
 
-    // Decode the selected columns into a mapping.
-    let mut selected: Vec<IlpVariable> = ilp
-        .variables
-        .iter()
-        .zip(&solution.x)
-        .filter(|(_, &value)| value > 0.5)
-        .map(|(v, _)| *v)
-        .collect();
-    selected.sort_by_key(|v| v.first);
+        // Decode the selected columns into a mapping.
+        let mut selected: Vec<IlpVariable> = ilp
+            .variables
+            .iter()
+            .zip(&solution.x)
+            .filter(|(_, &value)| value > 0.5)
+            .map(|(v, _)| *v)
+            .collect();
+        selected.sort_by_key(|v| v.first);
 
-    let mut next_processor = 0;
-    let mapped = selected
-        .iter()
-        .map(|v| {
-            let processors: Vec<usize> = (next_processor..next_processor + v.replicas).collect();
-            next_processor += v.replicas;
-            MappedInterval::new(
-                Interval {
-                    first: v.first,
-                    last: v.last,
-                },
-                processors,
-            )
+        let mut next_processor = 0;
+        let mapped = selected
+            .iter()
+            .map(|v| {
+                let processors: Vec<usize> =
+                    (next_processor..next_processor + v.replicas).collect();
+                next_processor += v.replicas;
+                MappedInterval::new(
+                    Interval {
+                        first: v.first,
+                        last: v.last,
+                    },
+                    processors,
+                )
+            })
+            .collect();
+        let mapping = Mapping::new(mapped, chain, platform)?;
+        let reliability = oracle.mapping_reliability(&mapping);
+        Ok(OptimalMapping {
+            mapping,
+            reliability,
         })
-        .collect();
-    let mapping = Mapping::new(mapped, chain, platform)?;
-    let reliability = oracle.mapping_reliability(&mapping);
-    Ok(OptimalMapping {
-        mapping,
-        reliability,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -13,9 +13,9 @@ use rpo_model::{IntervalOracle, IntervalPartition, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
 
 use crate::algo1::OptimalMapping;
-use crate::alloc::algo_alloc_plan_with_oracle;
+use crate::alloc::allocation_plan;
 use crate::exact::exhaustive::MAX_EXHAUSTIVE_TASKS;
-use crate::{AlgoError, Result};
+use crate::{AlgoError, Result, SolveCtx};
 
 /// The bound-independent summary of one interval partition.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,14 +53,17 @@ impl ProfileSet {
     /// # Panics
     ///
     /// Panics if the chain exceeds
-    /// [`MAX_EXHAUSTIVE_TASKS`](crate::exact::exhaustive::MAX_EXHAUSTIVE_TASKS)
+    /// [`MAX_EXHAUSTIVE_TASKS`]
     /// tasks.
     pub fn build(chain: &TaskChain, platform: &Platform) -> Result<Self> {
-        let oracle = IntervalOracle::new(chain, platform);
-        Self::build_with_oracle(&oracle, platform)
+        SolveCtx::fresh(chain, platform, |ctx| ctx.partition_profiles())
     }
+}
 
-    /// [`ProfileSet::build`] against a prebuilt [`IntervalOracle`].
+impl SolveCtx<'_> {
+    /// Builds the [`ProfileSet`] of every interval partition of the chain on
+    /// the homogeneous platform, reading every interval metric from the
+    /// context's oracle.
     ///
     /// # Errors
     ///
@@ -69,13 +72,10 @@ impl ProfileSet {
     /// # Panics
     ///
     /// Panics if the chain exceeds
-    /// [`MAX_EXHAUSTIVE_TASKS`](crate::exact::exhaustive::MAX_EXHAUSTIVE_TASKS)
+    /// [`MAX_EXHAUSTIVE_TASKS`]
     /// tasks.
-    pub fn build_with_oracle(oracle: &IntervalOracle, platform: &Platform) -> Result<Self> {
-        debug_assert!(
-            oracle.num_processors() == platform.num_processors(),
-            "IntervalOracle was built for a different platform"
-        );
+    pub fn partition_profiles(&self) -> Result<ProfileSet> {
+        let (oracle, platform) = (self.oracle(), self.platform());
         if !oracle.is_homogeneous() {
             return Err(AlgoError::HeterogeneousPlatform);
         }
@@ -124,7 +124,9 @@ impl ProfileSet {
             chain_len: n,
         })
     }
+}
 
+impl ProfileSet {
     /// Number of profiled partitions.
     pub fn len(&self) -> usize {
         self.profiles.len()
@@ -188,8 +190,7 @@ impl ProfileSet {
             .collect();
         let partition = IntervalPartition::from_cut_points(&cuts, self.chain_len)
             .expect("stored masks are valid");
-        let oracle = IntervalOracle::new(chain, platform);
-        let plan = algo_alloc_plan_with_oracle(&oracle, &partition)?;
+        let plan = allocation_plan(&IntervalOracle::new(chain, platform), &partition)?;
         let mapping = plan.into_mapping(&partition, chain, platform)?;
         Ok(OptimalMapping {
             mapping,

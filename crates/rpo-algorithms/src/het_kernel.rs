@@ -1,6 +1,6 @@
 //! The chunked kernel of the heterogeneous class DP: the gather/compact/
 //! sweep treatment of [`crate::algo1`]'s lane-chunked kernel, applied to
-//! [`crate::algo_het`]'s budget-state recurrence.
+//! [`mod@crate::algo_het`]'s budget-state recurrence.
 //!
 //! The scalar class DP walks, per `(boundary j, pattern q)` transition, the
 //! pattern's `valid_predecessors` index list — a gather-scatter loop whose
@@ -24,12 +24,12 @@
 //! 2. **Compact** — the DP table is stored **state-major** (`f[s][0..=n]`
 //!    contiguous per budget state), and the valid predecessor states of
 //!    each pattern are precomputed once per solve as dense `(start, len)`
-//!    mixed-radix ranges ([`Pattern::runs`]). Together they turn every
+//!    mixed-radix ranges (`Pattern::runs`). Together they turn every
 //!    `(pattern, state)` transition into two contiguous same-length rows:
 //!    the predecessor's boundary row and the pattern's gathered
 //!    reliability row.
 //! 3. **Sweep** — one value-only multiply-and-max *reduction* along the
-//!    boundary axis per `(pattern, state)` pair ([`col_max_mul`]), in
+//!    boundary axis per `(pattern, state)` pair (`col_max_mul`), in
 //!    fixed-width `[f64; 8]` accumulator chunks (plain multiply-and-select
 //!    bodies LLVM auto-vectorizes). The reduction length is the admissible
 //!    boundary span — tens to hundreds of lanes-worth of work, not a
@@ -50,177 +50,193 @@
 //! and taking the first bit-exact equality with the state's final value —
 //! the same first-winner the scalar kernel's strict-improvement updates
 //! record, so the recovered segments (and the lowered mapping) are
-//! identical. The scalar path stays available behind the `scalar-kernel`
-//! feature as the differential reference; `tests/het.rs` asserts the
-//! equivalence on seeded random instances.
+//! identical. The scalar kernel lives on as [`crate::reference::class_dp`],
+//! the differential reference; `tests/het.rs` asserts the equivalence on
+//! seeded random instances.
 
-use rpo_model::{assignment_from_segments, IntervalOracle, Platform, TaskChain};
+use rpo_model::{assignment_from_segments, IntervalOracle};
 
 use crate::algo1::{OptimalMapping, LANES};
-use crate::algo_het::{budget_states, class_strides, enumerate_patterns, validate_bound, Pattern};
+use crate::algo_het::{
+    budget_states, class_strides, enumerate_patterns, het_dp_applicable, Pattern,
+};
+use crate::{validate_period_bound, SolveCtx};
 
-/// The chunked class-level DP: same contract as the scalar
-/// `algo_het::class_dp_scalar` (`None` = nothing feasible under the bound
-/// survived the `incumbent` cut), same DP table bit for bit, same lowered
-/// mapping.
-pub(crate) fn class_dp_chunked(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    incumbent: f64,
-) -> Option<OptimalMapping> {
-    let n = oracle.len();
-    let view = oracle.class_view();
-    let kc = view.len();
-    let k_max = oracle.max_replication().min(oracle.num_processors());
-
-    let strides = class_strides(view);
-    let num_states = budget_states(view);
-    let patterns = enumerate_patterns(view, k_max, &strides);
-    let _span = rpo_obs::span!(
-        "dp.het_kernel",
-        rows = n,
-        states = num_states,
-        patterns = patterns.len()
-    );
-
-    let bound = validate_bound(period_bound).expect("caller validates the bound");
-    // Any DP prefix strictly below the incumbent can never catch up (every
-    // later factor is ≤ 1); a hair of slack keeps factored-vs-exact ulp
-    // differences from over-pruning. Applied post hoc per column: a state
-    // max below the cut becomes −∞, exactly as if every candidate had been
-    // rejected by the scalar kernel's per-candidate test.
-    let prune_below = incumbent * (1.0 - 1e-9);
-    let work_prefix = oracle.work_prefix();
-    let max_speed = view.max_speed();
-    let in_ok: Vec<bool> = (0..n).map(|j| oracle.input_comm_time(j) <= bound).collect();
-
-    let full = num_states - 1; // every budget digit at its maximum m_c
-    let stride = n + 1; // boundary row length of the state-major table
-    let mut f = vec![f64::NEG_INFINITY; num_states * stride];
-    f[full * stride] = 1.0;
-
-    // Per-pattern gathered reliability rows and per-pattern exact first
-    // admissible boundaries, reused across DP rows.
-    let mut prels: Vec<Vec<f64>> = vec![Vec::new(); patterns.len()];
-    let mut pattern_lo = vec![0usize; patterns.len()];
-
-    for i in 1..=n {
-        if oracle.output_comm_time(i - 1) > bound {
-            continue; // no interval ending at task i−1 fits the period
-        }
-        gather_rows(
-            oracle,
-            &patterns,
-            work_prefix,
-            bound,
-            &in_ok,
-            i,
-            &mut prels,
-            &mut pattern_lo,
+impl SolveCtx<'_> {
+    /// The exact class-level dynamic program behind [`SolveCtx::algo_het`]'s
+    /// exact path: the most reliable class-level mapping under an optional
+    /// period bound, with every DP prefix below `incumbent` pruned (pass
+    /// `0.0` to disable pruning). Returns `None` when nothing feasible under
+    /// the bound survives the cut — then an incumbent mapping at least that
+    /// reliable already exists.
+    ///
+    /// Its DP table and lowered mapping are bit-identical to the scalar
+    /// [`crate::reference::class_dp`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`het_dp_applicable`] does not hold for the oracle, or the
+    /// bound is not `None` or a positive finite number ([`SolveCtx::algo_het`]
+    /// checks both before calling it).
+    pub fn class_dp(&self, period_bound: Option<f64>, incumbent: f64) -> Option<OptimalMapping> {
+        let (oracle, chain, platform) = (self.oracle(), self.chain(), self.platform());
+        assert!(
+            het_dp_applicable(oracle),
+            "the class-level DP requires het_dp_applicable platforms"
         );
-        for ((pattern, prow), &start) in patterns.iter().zip(&prels).zip(&pattern_lo) {
-            if start >= i {
-                continue; // the pattern admits no interval ending at i−1
+        let bound = validate_period_bound(period_bound)
+            .expect("period bound must be None or a positive finite number");
+        let n = oracle.len();
+        let view = oracle.class_view();
+        let kc = view.len();
+        let k_max = oracle.max_replication().min(oracle.num_processors());
+
+        let strides = class_strides(view);
+        let num_states = budget_states(view);
+        let patterns = enumerate_patterns(view, k_max, &strides);
+        let _span = rpo_obs::span!(
+            "dp.het_kernel",
+            rows = n,
+            states = num_states,
+            patterns = patterns.len()
+        );
+
+        // Any DP prefix strictly below the incumbent can never catch up (every
+        // later factor is ≤ 1); a hair of slack keeps factored-vs-exact ulp
+        // differences from over-pruning. Applied post hoc per column: a state
+        // max below the cut becomes −∞, exactly as if every candidate had been
+        // rejected by the scalar kernel's per-candidate test.
+        let prune_below = incumbent * (1.0 - 1e-9);
+        let work_prefix = oracle.work_prefix();
+        let max_speed = view.max_speed();
+        let in_ok: Vec<bool> = (0..n).map(|j| oracle.input_comm_time(j) <= bound).collect();
+
+        let full = num_states - 1; // every budget digit at its maximum m_c
+        let stride = n + 1; // boundary row length of the state-major table
+        let mut f = vec![f64::NEG_INFINITY; num_states * stride];
+        f[full * stride] = 1.0;
+
+        // Per-pattern gathered reliability rows and per-pattern exact first
+        // admissible boundaries, reused across DP rows.
+        let mut prels: Vec<Vec<f64>> = vec![Vec::new(); patterns.len()];
+        let mut pattern_lo = vec![0usize; patterns.len()];
+
+        for i in 1..=n {
+            if oracle.output_comm_time(i - 1) > bound {
+                continue; // no interval ending at task i−1 fits the period
             }
-            for &(lo, len) in &pattern.runs {
-                for s in lo as usize..lo as usize + len as usize {
-                    let acc = col_max_mul(&f[s * stride + start..s * stride + i], prow);
-                    let dst = &mut f[(s - pattern.offset) * stride + i];
-                    if acc > *dst {
-                        *dst = acc;
+            gather_rows(
+                oracle,
+                &patterns,
+                work_prefix,
+                bound,
+                &in_ok,
+                i,
+                &mut prels,
+                &mut pattern_lo,
+            );
+            for ((pattern, prow), &start) in patterns.iter().zip(&prels).zip(&pattern_lo) {
+                if start >= i {
+                    continue; // the pattern admits no interval ending at i−1
+                }
+                for &(lo, len) in &pattern.runs {
+                    for s in lo as usize..lo as usize + len as usize {
+                        let acc = col_max_mul(&f[s * stride + start..s * stride + i], prow);
+                        let dst = &mut f[(s - pattern.offset) * stride + i];
+                        if acc > *dst {
+                            *dst = acc;
+                        }
                     }
                 }
             }
-        }
-        // Post-hoc prune filter: see the module docs for why this equals
-        // the scalar kernel's per-candidate cut.
-        for s in 0..num_states {
-            let value = &mut f[s * stride + i];
-            if *value < prune_below {
-                *value = f64::NEG_INFINITY;
+            // Post-hoc prune filter: see the module docs for why this equals
+            // the scalar kernel's per-candidate cut.
+            for s in 0..num_states {
+                let value = &mut f[s * stride + i];
+                if *value < prune_below {
+                    *value = f64::NEG_INFINITY;
+                }
             }
         }
-    }
 
-    // Best over every remaining-budget state at the final boundary — the
-    // same iteration (and tie resolution) as the scalar kernel's.
-    let (best_state, best_rel) =
-        (0..num_states)
-            .map(|s| (s, f[s * stride + n]))
-            .max_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("totally ordered reliabilities")
-            })?;
-    if !best_rel.is_finite() {
-        return None;
-    }
+        // Best over every remaining-budget state at the final boundary — the
+        // same iteration (and tie resolution) as the scalar kernel's.
+        let (best_state, best_rel) =
+            (0..num_states)
+                .map(|s| (s, f[s * stride + n]))
+                .max_by(|a, b| {
+                    a.1.partial_cmp(&b.1)
+                        .expect("totally ordered reliabilities")
+                })?;
+        if !best_rel.is_finite() {
+            return None;
+        }
 
-    // Post-hoc traceback: re-scan candidates in the scalar sweep order,
-    // first bit-exact equality wins (= the scalar kernel's recorded
-    // strict-improvement winner), then lower deterministically.
-    let mut segments: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-    let mut digits = vec![0usize; kc];
-    let (mut i, mut s) = (n, best_state);
-    while i > 0 {
-        let target = f[s * stride + i];
-        let j_lo = row_start(work_prefix, i, bound, max_speed);
-        gather_rows(
-            oracle,
-            &patterns,
-            work_prefix,
-            bound,
-            &in_ok,
-            i,
-            &mut prels,
-            &mut pattern_lo,
-        );
-        // A pattern can reach state s only when spending it does not push
-        // any budget digit past its class size.
-        for (c, digit) in digits.iter_mut().enumerate() {
-            *digit = s / strides[c] % (view.class(c).members + 1);
-        }
-        let mut found = None;
-        'scan: for j in (j_lo..i).rev() {
-            if !in_ok[j] {
-                continue;
+        // Post-hoc traceback: re-scan candidates in the scalar sweep order,
+        // first bit-exact equality wins (= the scalar kernel's recorded
+        // strict-improvement winner), then lower deterministically.
+        let mut segments: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+        let mut digits = vec![0usize; kc];
+        let (mut i, mut s) = (n, best_state);
+        while i > 0 {
+            let target = f[s * stride + i];
+            let j_lo = row_start(work_prefix, i, bound, max_speed);
+            gather_rows(
+                oracle,
+                &patterns,
+                work_prefix,
+                bound,
+                &in_ok,
+                i,
+                &mut prels,
+                &mut pattern_lo,
+            );
+            // A pattern can reach state s only when spending it does not push
+            // any budget digit past its class size.
+            for (c, digit) in digits.iter_mut().enumerate() {
+                *digit = s / strides[c] % (view.class(c).members + 1);
             }
-            for ((pattern, prow), &lo_p) in patterns.iter().zip(&prels).zip(&pattern_lo) {
-                if j < lo_p {
-                    continue; // the pattern admits no interval starting at j
+            let mut found = None;
+            'scan: for j in (j_lo..i).rev() {
+                if !in_ok[j] {
+                    continue;
                 }
-                if digits
-                    .iter()
-                    .enumerate()
-                    .any(|(c, &b)| b + pattern.counts[c] > view.class(c).members)
-                {
-                    continue; // no predecessor state spends this pattern into s
-                }
-                if f[(s + pattern.offset) * stride + j] * prow[j - lo_p] == target {
-                    found = Some((j, pattern));
-                    break 'scan;
+                for ((pattern, prow), &lo_p) in patterns.iter().zip(&prels).zip(&pattern_lo) {
+                    if j < lo_p {
+                        continue; // the pattern admits no interval starting at j
+                    }
+                    if digits
+                        .iter()
+                        .enumerate()
+                        .any(|(c, &b)| b + pattern.counts[c] > view.class(c).members)
+                    {
+                        continue; // no predecessor state spends this pattern into s
+                    }
+                    if f[(s + pattern.offset) * stride + j] * prow[j - lo_p] == target {
+                        found = Some((j, pattern));
+                        break 'scan;
+                    }
                 }
             }
+            let (j, pattern) = found.expect("every reachable DP state has a winning candidate");
+            segments.push((j, i - 1, pattern.counts.clone()));
+            s += pattern.offset;
+            i = j;
         }
-        let (j, pattern) = found.expect("every reachable DP state has a winning candidate");
-        segments.push((j, i - 1, pattern.counts.clone()));
-        s += pattern.offset;
-        i = j;
+        segments.reverse();
+        let (partition, assignment) =
+            assignment_from_segments(&segments, n).expect("DP segments form a valid partition");
+        let mapping = assignment
+            .lower(view, &partition, chain, platform)
+            .expect("DP respects every class budget");
+        // Report the exact Eq. 9 reliability of the lowered mapping (the DP
+        // maximized over factored values that can differ by an ulp).
+        let reliability = oracle.mapping_reliability(&mapping);
+        Some(OptimalMapping {
+            mapping,
+            reliability,
+        })
     }
-    segments.reverse();
-    let (partition, assignment) =
-        assignment_from_segments(&segments, n).expect("DP segments form a valid partition");
-    let mapping = assignment
-        .lower(view, &partition, chain, platform)
-        .expect("DP respects every class budget");
-    // Report the exact Eq. 9 reliability of the lowered mapping (the DP
-    // maximized over factored values that can differ by an ulp).
-    let reliability = oracle.mapping_reliability(&mapping);
-    Some(OptimalMapping {
-        mapping,
-        reliability,
-    })
 }
 
 /// The gather phase of DP row `i`: per pattern, the exact first admissible

@@ -4,7 +4,7 @@
 //! `m − 1` tasks with the smallest output-communication costs, so that the
 //! total communication added to the latency is as small as possible.
 
-use rpo_model::{IntervalOracle, IntervalPartition, TaskChain};
+use rpo_model::{IntervalPartition, TaskChain};
 
 /// The shared core: cuts after the `num_intervals − 1` boundaries with the
 /// smallest output sizes, read through `output_size`.
@@ -41,19 +41,6 @@ fn partition_by_cheapest_cuts(
 /// Panics if `num_intervals` is zero or exceeds the number of tasks.
 pub fn heur_l_partition(chain: &TaskChain, num_intervals: usize) -> IntervalPartition {
     partition_by_cheapest_cuts(chain.len(), num_intervals, |i| chain.output_size(i))
-}
-
-/// Heur-L reading the boundary communication costs from a prebuilt
-/// [`IntervalOracle`].
-///
-/// # Panics
-///
-/// Panics if `num_intervals` is zero or exceeds the number of tasks.
-pub fn heur_l_partition_with_oracle(
-    oracle: &IntervalOracle,
-    num_intervals: usize,
-) -> IntervalPartition {
-    partition_by_cheapest_cuts(oracle.len(), num_intervals, |i| oracle.output_size(i))
 }
 
 #[cfg(test)]

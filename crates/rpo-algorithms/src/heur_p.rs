@@ -7,7 +7,7 @@
 //! `j` is `max(Σ w, o_j)` (its computation time at unit speed and its
 //! outgoing communication).
 
-use rpo_model::{IntervalOracle, IntervalPartition, TaskChain};
+use rpo_model::{IntervalPartition, TaskChain};
 
 /// Computes the Heur-P partition of `chain` into exactly `num_intervals`
 /// intervals, together with the period value the dynamic program optimized.
@@ -19,32 +19,17 @@ pub fn heur_p_partition(chain: &TaskChain, num_intervals: usize) -> IntervalPart
     heur_p_partition_with_period(chain, num_intervals).0
 }
 
-/// Heur-P reading the interval works and boundary costs from a prebuilt
-/// [`IntervalOracle`].
-///
-/// # Panics
-///
-/// Panics if `num_intervals` is zero or exceeds the number of tasks.
-pub fn heur_p_partition_with_oracle(
-    oracle: &IntervalOracle,
-    num_intervals: usize,
-) -> IntervalPartition {
-    balanced_partition(oracle.len(), num_intervals, |first, last| {
-        oracle.work(first, last).max(oracle.output_size(last))
-    })
-    .0
-}
-
 /// Same as [`heur_p_partition`], also returning the optimal period metric
 /// (`max` over intervals of `max(Σ w, o_last)`) found by the dynamic program.
 pub fn heur_p_partition_with_period(
     chain: &TaskChain,
     num_intervals: usize,
 ) -> (IntervalPartition, f64) {
+    // Interval works straight from the prefix sums (the same subtraction
+    // `interval_work` makes, without its per-call range assert).
+    let work_prefix = chain.work_prefix();
     balanced_partition(chain.len(), num_intervals, |first, last| {
-        chain
-            .interval_work(first, last)
-            .max(chain.output_size(last))
+        (work_prefix[last + 1] - work_prefix[first]).max(chain.output_size(last))
     })
 }
 

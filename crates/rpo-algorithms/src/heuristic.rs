@@ -14,14 +14,13 @@
 //! Among all kept candidates, the mapping with the best reliability is
 //! returned.
 
-use rpo_model::{IntervalOracle, Mapping, MappingEvaluation, Platform, TaskChain};
+use rpo_model::{Mapping, MappingEvaluation, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
 
-use crate::alloc::algo_alloc_with_oracle;
-use crate::alloc_het::{algo_alloc_heterogeneous_with_oracle, AllocationConstraints};
-use crate::heur_l::heur_l_partition_with_oracle;
-use crate::heur_p::heur_p_partition_with_oracle;
-use crate::{AlgoError, Result};
+use crate::alloc_het::AllocationConstraints;
+use crate::heur_l::heur_l_partition;
+use crate::heur_p::heur_p_partition;
+use crate::{AlgoError, Result, SolveCtx};
 
 /// Which interval-computation heuristic to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,86 +65,76 @@ pub struct HeuristicSolution {
 }
 
 /// Runs one of the Section 7 heuristics and returns the most reliable mapping
-/// that satisfies both bounds, or [`AlgoError::NoFeasibleMapping`] if no
-/// candidate does.
+/// that satisfies both bounds. A shim over [`SolveCtx::run_heuristic`] with a
+/// fresh context.
 ///
 /// # Errors
 ///
-/// * [`AlgoError::InvalidBound`] if a bound is not positive;
-/// * [`AlgoError::NoFeasibleMapping`] if no candidate mapping meets the
-///   bounds.
+/// Same as [`SolveCtx::run_heuristic`].
 pub fn run_heuristic(
     chain: &TaskChain,
     platform: &Platform,
     config: &HeuristicConfig,
 ) -> Result<HeuristicSolution> {
-    let oracle = IntervalOracle::new(chain, platform);
-    run_heuristic_with_oracle(&oracle, chain, platform, config)
+    SolveCtx::fresh(chain, platform, |ctx| ctx.run_heuristic(config))
 }
 
-/// [`run_heuristic`] against a prebuilt [`IntervalOracle`]: partitions,
-/// allocations and the candidate evaluations all read their interval metrics
-/// from the shared kernel.
-///
-/// # Errors
-///
-/// Same as [`run_heuristic`].
-pub fn run_heuristic_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    config: &HeuristicConfig,
-) -> Result<HeuristicSolution> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    if config.period_bound <= 0.0 || config.period_bound.is_nan() {
-        return Err(AlgoError::InvalidBound("period bound"));
-    }
-    if config.latency_bound <= 0.0 || config.latency_bound.is_nan() {
-        return Err(AlgoError::InvalidBound("latency bound"));
-    }
-
-    let n = oracle.len();
-    let p = oracle.num_processors();
-    let homogeneous = oracle.is_homogeneous();
-    let constraints = AllocationConstraints::none();
-
-    let mut best: Option<HeuristicSolution> = None;
-    for num_intervals in 1..=n.min(p) {
-        let partition = match config.interval_heuristic {
-            IntervalHeuristic::MinLatency => heur_l_partition_with_oracle(oracle, num_intervals),
-            IntervalHeuristic::MinPeriod => heur_p_partition_with_oracle(oracle, num_intervals),
-        };
-
-        let mapping = if homogeneous {
-            algo_alloc_with_oracle(oracle, chain, platform, &partition)
-        } else {
-            algo_alloc_heterogeneous_with_oracle(
-                oracle,
-                chain,
-                platform,
-                &partition,
-                config.period_bound,
-                &constraints,
-            )
-        };
-        let Ok(mapping) = mapping else { continue };
-
-        let evaluation = oracle.evaluate(&mapping);
-        if !evaluation.meets(config.period_bound, config.latency_bound) {
-            continue;
+impl SolveCtx<'_> {
+    /// Runs one of the Section 7 heuristics and returns the most reliable mapping
+    /// that satisfies both bounds, or [`AlgoError::NoFeasibleMapping`] if no
+    /// candidate does. Partitions, allocations and the candidate evaluations all
+    /// read their interval metrics from the context's oracle.
+    ///
+    /// # Errors
+    ///
+    /// * [`AlgoError::InvalidBound`] if a bound is not positive;
+    /// * [`AlgoError::NoFeasibleMapping`] if no candidate mapping meets the
+    ///   bounds.
+    pub fn run_heuristic(&self, config: &HeuristicConfig) -> Result<HeuristicSolution> {
+        let oracle = self.oracle();
+        if config.period_bound <= 0.0 || config.period_bound.is_nan() {
+            return Err(AlgoError::InvalidBound("period bound"));
         }
-        if best
-            .as_ref()
-            .is_none_or(|b| evaluation.reliability > b.evaluation.reliability)
-        {
-            best = Some(HeuristicSolution {
-                mapping,
-                evaluation,
-                num_intervals,
-            });
+        if config.latency_bound <= 0.0 || config.latency_bound.is_nan() {
+            return Err(AlgoError::InvalidBound("latency bound"));
         }
+
+        let n = oracle.len();
+        let p = oracle.num_processors();
+        let homogeneous = oracle.is_homogeneous();
+        let constraints = AllocationConstraints::none();
+
+        let mut best: Option<HeuristicSolution> = None;
+        for num_intervals in 1..=n.min(p) {
+            let partition = match config.interval_heuristic {
+                IntervalHeuristic::MinLatency => heur_l_partition(self.chain(), num_intervals),
+                IntervalHeuristic::MinPeriod => heur_p_partition(self.chain(), num_intervals),
+            };
+
+            let mapping = if homogeneous {
+                self.algo_alloc(&partition)
+            } else {
+                self.algo_alloc_heterogeneous(&partition, config.period_bound, &constraints)
+            };
+            let Ok(mapping) = mapping else { continue };
+
+            let evaluation = oracle.evaluate(&mapping);
+            if !evaluation.meets(config.period_bound, config.latency_bound) {
+                continue;
+            }
+            if best
+                .as_ref()
+                .is_none_or(|b| evaluation.reliability > b.evaluation.reliability)
+            {
+                best = Some(HeuristicSolution {
+                    mapping,
+                    evaluation,
+                    num_intervals,
+                });
+            }
+        }
+        best.ok_or(AlgoError::NoFeasibleMapping)
     }
-    best.ok_or(AlgoError::NoFeasibleMapping)
 }
 
 /// Convenience wrapper running both heuristics and returning the best feasible
@@ -156,30 +145,20 @@ pub fn run_both_heuristics(
     period_bound: f64,
     latency_bound: f64,
 ) -> (Option<HeuristicSolution>, Option<HeuristicSolution>) {
-    let oracle = IntervalOracle::new(chain, platform);
-    let heur_l = run_heuristic_with_oracle(
-        &oracle,
-        chain,
-        platform,
-        &HeuristicConfig {
-            interval_heuristic: IntervalHeuristic::MinLatency,
-            period_bound,
-            latency_bound,
-        },
-    )
-    .ok();
-    let heur_p = run_heuristic_with_oracle(
-        &oracle,
-        chain,
-        platform,
-        &HeuristicConfig {
-            interval_heuristic: IntervalHeuristic::MinPeriod,
-            period_bound,
-            latency_bound,
-        },
-    )
-    .ok();
-    (heur_l, heur_p)
+    SolveCtx::fresh(chain, platform, |ctx| {
+        let run = |interval_heuristic| {
+            ctx.run_heuristic(&HeuristicConfig {
+                interval_heuristic,
+                period_bound,
+                latency_bound,
+            })
+            .ok()
+        };
+        (
+            run(IntervalHeuristic::MinLatency),
+            run(IntervalHeuristic::MinPeriod),
+        )
+    })
 }
 
 #[cfg(test)]

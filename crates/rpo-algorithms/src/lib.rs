@@ -11,17 +11,16 @@
 //!     reliability bound) by binary search over candidate periods;
 //!   * [`alloc`] — Algo-Alloc (Theorem 4): optimal greedy allocation of
 //!     processors to a fixed interval partition;
-//!   * [`batch_kernel`] — the batched SoA mega-kernel: the Algorithm 1/2
+//!   * [`mod@batch_kernel`] — the batched SoA mega-kernel: the Algorithm 1/2
 //!     recurrence over many same-shape instances in lockstep, one instance
 //!     per SIMD lane.
 //! * **Heterogeneous solvers**
-//!   * [`algo_het`] — exact reliability optimization by class-level dynamic
+//!   * [`mod@algo_het`] — exact reliability optimization by class-level dynamic
 //!     programming (tractable whenever the platform has few distinct
 //!     processor classes; greedy fallback otherwise);
 //!   * [`het_kernel`] — the chunked gather/compact/sweep kernel behind
-//!     `algo_het`'s class DP (the scalar inner loop stays available behind
-//!     the `scalar-kernel` feature as the differential reference);
-//!   * [`algo_het_lat`] — the tri-criteria extension: exact reliability
+//!     `algo_het`'s class DP;
+//!   * [`mod@algo_het_lat`] — the tri-criteria extension: exact reliability
 //!     optimization under period **and latency** bounds, by a label DP over
 //!     `(boundary, budgets, latency-so-far)` states with a Lagrangian
 //!     penalty sweep as fallback;
@@ -43,9 +42,24 @@
 //!     the `rpo-lp` branch-and-bound (the CPLEX substitute);
 //!   * [`exact::brute_force`] — reference brute-force over partitions *and*
 //!     allocations for tiny instances (used to validate everything else).
+//! * **Scalar references** — [`mod@reference`] keeps the pre-chunking scalar
+//!   Algorithm 1/2 sweep and class DP that the equivalence tests and the
+//!   kernel benchmark compare the production kernels against.
+//!
+//! # One entry point per algorithm
+//!
+//! Every algorithm runs against a [`SolveCtx`]: the instance, its prebuilt
+//! [`rpo_model::IntervalOracle`], and reusable [`DpScratch`] arenas. Each
+//! algorithm is one method of that context (`ctx.reliability_dp(bound)` for
+//! Algorithms 1 and 2, `ctx.minimize_period(bound)`, `ctx.algo_het(bound)`,
+//! `ctx.run_heuristic(&config)`, …). The plain `(chain, platform, bounds…)`
+//! functions re-exported below are shims that solve against a fresh
+//! context.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+mod ctx;
 
 pub mod algo1;
 pub mod algo2;
@@ -61,40 +75,26 @@ pub mod heur_l;
 pub mod heur_p;
 pub mod heuristic;
 pub mod period_opt;
+pub mod reference;
 
-pub use algo1::{
-    optimize_reliability_homogeneous, optimize_reliability_homogeneous_with_oracle,
-    optimize_reliability_homogeneous_with_scratch, reliability_dp_with_kernel,
-    reliability_dp_with_scratch, repair_reliability_dp_with_scratch, DpKernel, DpScratch,
-    OptimalMapping, WarmPath, LANES,
-};
-pub use algo2::{
-    optimize_reliability_with_period_bound, optimize_reliability_with_period_bound_with_oracle,
-    optimize_with_period_bound_scratch,
-};
+pub use algo1::{optimize_reliability_homogeneous, DpScratch, OptimalMapping, WarmPath, LANES};
+pub use algo2::optimize_reliability_with_period_bound;
 pub use algo_het::{
-    algo_het, algo_het_with_oracle, class_dp_with_kernel, exhaustive_het, greedy_het_with_oracle,
-    het_dp_applicable, het_dp_applicable_platform, HetMethod, HetSolution,
+    algo_het, exhaustive_het, het_dp_applicable, het_dp_applicable_platform, HetMethod, HetSolution,
 };
 pub use algo_het_lat::{
-    algo_het_lat, algo_het_lat_with_oracle, algo_het_lat_with_scratch, exhaustive_het_lat,
-    greedy_het_lat_with_oracle, HetLatFrontPoint, HetLatMethod, HetLatSolution, MAX_LAT_LABELS,
+    algo_het_lat, exhaustive_het_lat, HetLatFrontPoint, HetLatMethod, HetLatSolution,
+    MAX_LAT_LABELS,
 };
-pub use alloc::{algo_alloc, algo_alloc_with_oracle, exhaustive_alloc};
-pub use alloc_het::{algo_alloc_heterogeneous, algo_alloc_heterogeneous_with_oracle};
-pub use batch_kernel::{solve_batch, solve_batch_with_inner, BatchInner, BatchLane, BatchScratch};
+pub use alloc::{algo_alloc, exhaustive_alloc};
+pub use alloc_het::algo_alloc_heterogeneous;
+pub use batch_kernel::{solve_batch, BatchLane, BatchScratch};
+pub use ctx::SolveCtx;
 pub use energy_aware::{run_energy_aware_heuristic, EnergyAwareConfig, EnergyAwareSolution};
-pub use heur_l::{heur_l_partition, heur_l_partition_with_oracle};
-pub use heur_p::{heur_p_partition, heur_p_partition_with_oracle};
-pub use heuristic::{
-    run_heuristic, run_heuristic_with_oracle, HeuristicConfig, HeuristicSolution, IntervalHeuristic,
-};
-pub use period_opt::{
-    minimize_period_batch, minimize_period_with_reliability_bound,
-    minimize_period_with_reliability_bound_with_oracle,
-    minimize_period_with_reliability_bound_with_scratch, repair_minimize_period_with_scratch,
-    PeriodLane,
-};
+pub use heur_l::heur_l_partition;
+pub use heur_p::heur_p_partition;
+pub use heuristic::{run_heuristic, HeuristicConfig, HeuristicSolution, IntervalHeuristic};
+pub use period_opt::{minimize_period_batch, minimize_period_with_reliability_bound, PeriodLane};
 
 /// Errors reported by the algorithms of this crate.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,17 +147,12 @@ impl From<rpo_model::ModelError> for AlgoError {
 /// Result alias for the algorithms of this crate.
 pub type Result<T> = std::result::Result<T, AlgoError>;
 
-/// Debug-checks that `oracle` was built for this `(chain, platform)` pair —
-/// a mismatched oracle would silently produce wrong metrics, not panics.
-#[inline]
-pub(crate) fn debug_assert_oracle_matches(
-    oracle: &rpo_model::IntervalOracle,
-    chain: &rpo_model::TaskChain,
-    platform: &rpo_model::Platform,
-) {
-    debug_assert!(
-        oracle.len() == chain.len() && oracle.num_processors() == platform.num_processors(),
-        "IntervalOracle was built for a different (chain, platform) instance"
-    );
-    let _ = (oracle, chain, platform);
+/// Validates an optional worst-case period bound: `None` is unbounded
+/// (`f64::INFINITY`); a present bound must be a positive finite number.
+pub(crate) fn validate_period_bound(period_bound: Option<f64>) -> Result<f64> {
+    match period_bound {
+        None => Ok(f64::INFINITY),
+        Some(bound) if bound.is_finite() && bound > 0.0 => Ok(bound),
+        Some(_) => Err(AlgoError::InvalidBound("period bound")),
+    }
 }

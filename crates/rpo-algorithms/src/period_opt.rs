@@ -23,10 +23,9 @@ use std::collections::HashMap;
 use rpo_model::{IntervalOracle, Mapping, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
 
-use crate::algo1::DpScratch;
-use crate::algo2::optimize_with_period_bound_scratch;
+use crate::algo1::OptimalMapping;
 use crate::batch_kernel::{solve_batch, BatchLane, BatchScratch};
-use crate::{AlgoError, Result};
+use crate::{AlgoError, Result, SolveCtx};
 
 /// Result of the period minimization.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,109 +83,92 @@ fn candidate_periods(oracle: &IntervalOracle, speed: f64) -> Vec<f64> {
 }
 
 /// Minimizes the worst-case period of a mapping whose reliability is at least
-/// `reliability_bound`, on a fully homogeneous platform.
+/// `reliability_bound`, on a fully homogeneous platform. A shim over
+/// [`SolveCtx::minimize_period`] with a fresh context.
 ///
 /// # Errors
 ///
-/// * [`AlgoError::HeterogeneousPlatform`] if the platform is not homogeneous;
-/// * [`AlgoError::InvalidBound`] if the reliability bound is not in `(0, 1]`;
-/// * [`AlgoError::NoFeasibleMapping`] if even the unconstrained optimum of
-///   Algorithm 1 does not reach the reliability bound.
+/// Same as [`SolveCtx::minimize_period`].
 pub fn minimize_period_with_reliability_bound(
     chain: &TaskChain,
     platform: &Platform,
     reliability_bound: f64,
 ) -> Result<PeriodOptimal> {
-    let oracle = IntervalOracle::new(chain, platform);
-    minimize_period_with_reliability_bound_with_oracle(&oracle, chain, platform, reliability_bound)
+    SolveCtx::fresh(chain, platform, |ctx| {
+        ctx.minimize_period(reliability_bound)
+    })
 }
 
-/// Period minimization against a prebuilt [`IntervalOracle`]: the whole
-/// binary search (one Algorithm 2 run per probe) shares a single oracle
-/// instead of rebuilding the interval metrics at every probe, and every
-/// probe runs against one warm [`DpScratch`] — the DP arenas are allocated
-/// once and the previous probe's admissible-interval set (`in_ok` boundary
-/// flags and per-row work-prefix cuts) seeds the next probe's admissibility
-/// derivation instead of starting from scratch.
-///
-/// # Errors
-///
-/// Same as [`minimize_period_with_reliability_bound`].
-pub fn minimize_period_with_reliability_bound_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    reliability_bound: f64,
-) -> Result<PeriodOptimal> {
-    let mut scratch = DpScratch::new();
-    minimize_period_with_reliability_bound_with_scratch(
-        oracle,
-        chain,
-        platform,
-        reliability_bound,
-        &mut scratch,
-    )
-}
-
-/// Period minimization against caller-owned [`DpScratch`]: batch callers
-/// (the portfolio engine's scratch pool) reuse the DP arenas across
-/// instances — allocation reuse only, the admissibility data is rebuilt per
-/// probe.
-///
-/// # Errors
-///
-/// Same as [`minimize_period_with_reliability_bound`].
-pub fn minimize_period_with_reliability_bound_with_scratch(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    reliability_bound: f64,
-    scratch: &mut DpScratch,
-) -> Result<PeriodOptimal> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
+/// Rejects non-homogeneous platforms and reliability bounds outside `(0, 1]`.
+fn check_period_inputs(oracle: &IntervalOracle, reliability_bound: f64) -> Result<()> {
     if !oracle.is_homogeneous() {
         return Err(AlgoError::HeterogeneousPlatform);
     }
     if !(reliability_bound.is_finite() && reliability_bound > 0.0 && reliability_bound <= 1.0) {
         return Err(AlgoError::InvalidBound("reliability bound"));
     }
+    Ok(())
+}
 
-    let candidates = candidate_periods(oracle, platform.speed(0));
-    // Check feasibility at the largest candidate (equivalent to no bound).
-    let largest = *candidates
-        .last()
-        .expect("a non-empty chain has candidate periods");
-    let unconstrained =
-        optimize_with_period_bound_scratch(oracle, chain, platform, largest, &mut *scratch)?;
-    if unconstrained.reliability < reliability_bound {
-        return Err(AlgoError::NoFeasibleMapping);
+impl SolveCtx<'_> {
+    /// Minimizes the worst-case period of a mapping whose reliability is at
+    /// least `reliability_bound`, on a fully homogeneous platform.
+    ///
+    /// The whole binary search (one Algorithm 2 run per probe) shares the
+    /// context's oracle and runs every probe against its one warm scratch:
+    /// the DP arenas are allocated once and the previous probe's
+    /// admissible-interval set (`in_ok` boundary flags and per-row
+    /// work-prefix cuts) seeds the next probe's admissibility derivation.
+    ///
+    /// # Errors
+    ///
+    /// * [`AlgoError::HeterogeneousPlatform`] if the platform is not
+    ///   homogeneous;
+    /// * [`AlgoError::InvalidBound`] if the reliability bound is not in
+    ///   `(0, 1]`;
+    /// * [`AlgoError::NoFeasibleMapping`] if even the unconstrained optimum of
+    ///   Algorithm 1 does not reach the reliability bound.
+    pub fn minimize_period(&mut self, reliability_bound: f64) -> Result<PeriodOptimal> {
+        check_period_inputs(self.oracle(), reliability_bound)?;
+        let candidates = candidate_periods(self.oracle(), self.platform().speed(0));
+        // Check feasibility at the largest candidate (equivalent to no bound).
+        let largest = *candidates
+            .last()
+            .expect("a non-empty chain has candidate periods");
+        let unconstrained = self.reliability_dp(Some(largest))?;
+        if unconstrained.reliability < reliability_bound {
+            return Err(AlgoError::NoFeasibleMapping);
+        }
+
+        // Binary search the smallest candidate period meeting the bound.
+        let (mut lo, mut hi) = (0usize, candidates.len() - 1);
+        let mut best = unconstrained;
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match self.probe_period(candidates[mid], reliability_bound) {
+                Some(solution) => {
+                    best = solution;
+                    hi = mid;
+                }
+                None => lo = mid + 1,
+            }
+        }
+        Ok(PeriodOptimal {
+            period: candidates[hi],
+            mapping: best.mapping,
+            reliability: best.reliability,
+        })
     }
 
-    // Binary search the smallest candidate period meeting the bound.
-    let mut feasible = |period: f64| -> Option<crate::algo1::OptimalMapping> {
+    /// One probe of the period searches: Algorithm 2 at `period`, feasible
+    /// when it finds a mapping meeting the reliability bound.
+    fn probe_period(&mut self, period: f64, reliability_bound: f64) -> Option<OptimalMapping> {
         rpo_obs::counter!("period_opt.probes").inc();
-        match optimize_with_period_bound_scratch(oracle, chain, platform, period, &mut *scratch) {
+        match self.reliability_dp(Some(period)) {
             Ok(solution) if solution.reliability >= reliability_bound => Some(solution),
             _ => None,
         }
-    };
-    let (mut lo, mut hi) = (0usize, candidates.len() - 1);
-    let mut best = unconstrained;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        match feasible(candidates[mid]) {
-            Some(solution) => {
-                best = solution;
-                hi = mid;
-            }
-            None => lo = mid + 1,
-        }
     }
-    Ok(PeriodOptimal {
-        period: candidates[hi],
-        mapping: best.mapping,
-        reliability: best.reliability,
-    })
 }
 
 /// One lane of a batched period minimization: an instance (prebuilt oracle,
@@ -213,7 +195,7 @@ struct LaneSearch {
     primed: bool,
     /// Best feasible solution seen so far (the certified answer once the
     /// bracket closes).
-    best: Option<crate::algo1::OptimalMapping>,
+    best: Option<OptimalMapping>,
 }
 
 impl LaneSearch {
@@ -229,8 +211,8 @@ impl LaneSearch {
 }
 
 /// Lane-parallel period minimization: runs every lane's candidate-ladder
-/// binary search (the exact search of
-/// [`minimize_period_with_reliability_bound_with_scratch`]) through the SoA
+/// binary search (the exact search of [`SolveCtx::minimize_period`])
+/// through the SoA
 /// mega-kernel, one probe round at a time. Each round repacks the
 /// unconverged lanes — grouped by the kernel's `(p, k_max)` near-shape, with
 /// **per-lane probe periods** as the lanes' Algorithm 2 bounds — into
@@ -254,14 +236,8 @@ pub fn minimize_period_batch(
     let mut results: Vec<Option<Result<PeriodOptimal>>> = (0..lanes.len()).map(|_| None).collect();
     let mut searches: Vec<Option<LaneSearch>> = (0..lanes.len()).map(|_| None).collect();
     for (idx, lane) in lanes.iter().enumerate() {
-        crate::debug_assert_oracle_matches(lane.oracle, lane.chain, lane.platform);
-        if !lane.oracle.is_homogeneous() {
-            results[idx] = Some(Err(AlgoError::HeterogeneousPlatform));
-            continue;
-        }
-        let bound = lane.reliability_bound;
-        if !(bound.is_finite() && bound > 0.0 && bound <= 1.0) {
-            results[idx] = Some(Err(AlgoError::InvalidBound("reliability bound")));
+        if let Err(error) = check_period_inputs(lane.oracle, lane.reliability_bound) {
+            results[idx] = Some(Err(error));
             continue;
         }
         let candidates = candidate_periods(lane.oracle, lane.platform.speed(0));
@@ -368,110 +344,96 @@ impl LaneSearch {
     }
 }
 
-/// Warm-started period re-minimization after a platform or workload delta:
-/// instead of binary-searching the full candidate ladder from cold, the
-/// search **brackets around the previous optimum** `prev_period` with an
-/// exponential gallop. Deltas usually move the optimum by only a few
-/// candidate positions, so the common case pays `O(log Δ)` Algorithm 2
-/// probes (Δ = how far the optimum moved) instead of `O(log n²)` — and each
-/// probe additionally reuses `scratch`'s warm admissibility cuts, exactly
-/// like the cold search.
-///
-/// Returns the **same certified optimum** as
-/// [`minimize_period_with_reliability_bound_with_scratch`]: feasibility is
-/// monotone in the period, both searches select the smallest feasible
-/// candidate, they differ only in which probes are evaluated along the way.
-///
-/// # Errors
-///
-/// Same as [`minimize_period_with_reliability_bound`].
-pub fn repair_minimize_period_with_scratch(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    reliability_bound: f64,
-    prev_period: f64,
-    scratch: &mut DpScratch,
-) -> Result<PeriodOptimal> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    if !oracle.is_homogeneous() {
-        return Err(AlgoError::HeterogeneousPlatform);
-    }
-    if !(reliability_bound.is_finite() && reliability_bound > 0.0 && reliability_bound <= 1.0) {
-        return Err(AlgoError::InvalidBound("reliability bound"));
-    }
+impl SolveCtx<'_> {
+    /// Warm-started period re-minimization after a platform or workload
+    /// delta: instead of binary-searching the full candidate ladder from
+    /// cold, the search **brackets around the previous optimum**
+    /// `prev_period` with an exponential gallop. Deltas usually move the
+    /// optimum by only a few candidate positions, so the common case pays
+    /// `O(log Δ)` Algorithm 2 probes (Δ = how far the optimum moved) instead
+    /// of `O(log n²)` — and each probe additionally reuses the scratch's warm
+    /// admissibility cuts, exactly like the cold search.
+    ///
+    /// Returns the **same certified optimum** as
+    /// [`SolveCtx::minimize_period`]: feasibility is monotone in the period,
+    /// both searches select the smallest feasible candidate, they differ only
+    /// in which probes are evaluated along the way.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SolveCtx::minimize_period`].
+    pub fn repair_minimize_period(
+        &mut self,
+        reliability_bound: f64,
+        prev_period: f64,
+    ) -> Result<PeriodOptimal> {
+        check_period_inputs(self.oracle(), reliability_bound)?;
+        let candidates = candidate_periods(self.oracle(), self.platform().speed(0));
+        let len = candidates.len();
+        let mut feasible = |period: f64| self.probe_period(period, reliability_bound);
 
-    let candidates = candidate_periods(oracle, platform.speed(0));
-    let len = candidates.len();
-    let mut feasible = |period: f64| -> Option<crate::algo1::OptimalMapping> {
-        rpo_obs::counter!("period_opt.probes").inc();
-        match optimize_with_period_bound_scratch(oracle, chain, platform, period, &mut *scratch) {
-            Ok(solution) if solution.reliability >= reliability_bound => Some(solution),
-            _ => None,
-        }
-    };
+        // Start at the candidate nearest the previous optimum (degenerate
+        // `prev_period` just means a worse start, never a wrong answer).
+        let start = if prev_period.is_finite() {
+            candidates
+                .partition_point(|&c| c < prev_period * (1.0 - CANDIDATE_REL_TOL))
+                .min(len - 1)
+        } else {
+            len - 1
+        };
 
-    // Start at the candidate nearest the previous optimum (degenerate
-    // `prev_period` just means a worse start, never a wrong answer).
-    let start = if prev_period.is_finite() {
-        candidates
-            .partition_point(|&c| c < prev_period * (1.0 - CANDIDATE_REL_TOL))
-            .min(len - 1)
-    } else {
-        len - 1
-    };
-
-    // Gallop up until a feasible candidate brackets the optimum from above.
-    let mut hi = start;
-    let mut lo_infeasible: Option<usize> = None;
-    let mut solution = feasible(candidates[hi]);
-    let mut step = 1;
-    while solution.is_none() {
-        if hi == len - 1 {
-            return Err(AlgoError::NoFeasibleMapping);
-        }
-        lo_infeasible = Some(hi);
-        hi = (hi + step).min(len - 1);
-        step *= 2;
-        solution = feasible(candidates[hi]);
-    }
-    // If the start itself was feasible, gallop down for an infeasible floor.
-    if lo_infeasible.is_none() {
+        // Gallop up until a feasible candidate brackets the optimum from above.
+        let mut hi = start;
+        let mut lo_infeasible: Option<usize> = None;
+        let mut solution = feasible(candidates[hi]);
         let mut step = 1;
-        while hi > 0 {
-            let probe = hi.saturating_sub(step);
-            match feasible(candidates[probe]) {
-                Some(better) => {
-                    solution = Some(better);
-                    hi = probe;
-                    step *= 2;
-                }
-                None => {
-                    lo_infeasible = Some(probe);
-                    break;
+        while solution.is_none() {
+            if hi == len - 1 {
+                return Err(AlgoError::NoFeasibleMapping);
+            }
+            lo_infeasible = Some(hi);
+            hi = (hi + step).min(len - 1);
+            step *= 2;
+            solution = feasible(candidates[hi]);
+        }
+        // If the start itself was feasible, gallop down for an infeasible floor.
+        if lo_infeasible.is_none() {
+            let mut step = 1;
+            while hi > 0 {
+                let probe = hi.saturating_sub(step);
+                match feasible(candidates[probe]) {
+                    Some(better) => {
+                        solution = Some(better);
+                        hi = probe;
+                        step *= 2;
+                    }
+                    None => {
+                        lo_infeasible = Some(probe);
+                        break;
+                    }
                 }
             }
         }
-    }
-    // Close the bracket: invariant `hi` feasible, `lo` infeasible.
-    if let Some(mut lo) = lo_infeasible {
-        while lo + 1 < hi {
-            let mid = (lo + hi) / 2;
-            match feasible(candidates[mid]) {
-                Some(better) => {
-                    solution = Some(better);
-                    hi = mid;
+        // Close the bracket: invariant `hi` feasible, `lo` infeasible.
+        if let Some(mut lo) = lo_infeasible {
+            while lo + 1 < hi {
+                let mid = (lo + hi) / 2;
+                match feasible(candidates[mid]) {
+                    Some(better) => {
+                        solution = Some(better);
+                        hi = mid;
+                    }
+                    None => lo = mid,
                 }
-                None => lo = mid,
             }
         }
+        let best = solution.expect("bracket always holds a feasible candidate");
+        Ok(PeriodOptimal {
+            period: candidates[hi],
+            mapping: best.mapping,
+            reliability: best.reliability,
+        })
     }
-    let best = solution.expect("bracket always holds a feasible candidate");
-    Ok(PeriodOptimal {
-        period: candidates[hi],
-        mapping: best.mapping,
-        reliability: best.reliability,
-    })
 }
 
 #[cfg(test)]
@@ -576,9 +538,10 @@ mod tests {
         let c = chain();
         let p = platform(6, 3);
         let oracle = IntervalOracle::new(&c, &p);
+        let mut scratch = crate::DpScratch::new();
+        let mut ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
         for bound in [0.5, 0.9, 0.95, 0.99] {
-            let fast =
-                minimize_period_with_reliability_bound_with_oracle(&oracle, &c, &p, bound).unwrap();
+            let fast = ctx.minimize_period(bound).unwrap();
             // Reference: probe every candidate in ascending order with a
             // fresh (cold-scratch) Algorithm 2 run and take the first hit.
             let reference = candidate_periods(&oracle, p.speed(0))
@@ -629,8 +592,7 @@ mod tests {
         let mut scratch = BatchScratch::new();
         let batched = minimize_period_batch(&lanes, &mut scratch);
         for (idx, lane) in lanes.iter().enumerate() {
-            let scalar = minimize_period_with_reliability_bound_with_oracle(
-                lane.oracle,
+            let scalar = minimize_period_with_reliability_bound(
                 lane.chain,
                 lane.platform,
                 lane.reliability_bound,

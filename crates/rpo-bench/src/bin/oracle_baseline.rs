@@ -68,12 +68,8 @@
 //! oracle, kept here as the measurement baseline.
 
 use rpo_algorithms::{
-    algo_het_lat_with_oracle, algo_het_with_oracle, class_dp_with_kernel,
-    greedy_het_lat_with_oracle, greedy_het_with_oracle,
-    optimize_reliability_homogeneous_with_oracle,
-    optimize_reliability_with_period_bound_with_oracle, reliability_dp_with_kernel,
-    reliability_dp_with_scratch, solve_batch, solve_batch_with_inner, BatchInner, BatchLane,
-    BatchScratch, DpKernel, DpScratch, HetLatMethod, HetMethod, OptimalMapping, LANES,
+    optimize_reliability_homogeneous, reference, solve_batch, BatchLane, BatchScratch, DpScratch,
+    HetLatMethod, HetMethod, OptimalMapping, SolveCtx, LANES,
 };
 use rpo_bench::{bench_chain, bench_hom_platform};
 use rpo_model::{reliability, Interval, IntervalOracle, Platform, TaskChain};
@@ -171,15 +167,11 @@ struct BatchSoaComparison {
     /// SIMD lane width of the mega-kernel (`rpo_algorithms::LANES`).
     lanes: usize,
     per_instance_millis: f64,
-    /// Full-stream wall clock of the lockstep inner sweep…
-    lockstep_millis: f64,
-    /// …and of the register-blocked retry (kept for the recorded verdict:
-    /// the default inner sweep is whichever wins).
+    /// Full-stream wall clock of the batch kernel's register-blocked fold.
     blocked_millis: f64,
     per_instance_per_s: f64,
-    lockstep_per_s: f64,
     blocked_per_s: f64,
-    /// Default batched inner sweep vs the per-instance kernel — the
+    /// Batch kernel vs the per-instance kernel — the
     /// `--enforce-batch-speedup` gate fails below 1.4×. (The floor was 2×
     /// when the default build carried the AVX-512 zmm opt-out removed from
     /// `.cargo/config.toml`; the default 256-bit build lands lower. The 2×
@@ -211,30 +203,16 @@ fn run_batch_soa() -> BatchSoaComparison {
     let mut scratch = DpScratch::new();
     let per_instance_millis = time_median(BATCH_SOA_REPS, || {
         for lane in 0..BATCH_SOA_INSTANCES {
-            let result = reliability_dp_with_scratch(
-                &oracles[lane],
-                &chains[lane],
-                &platform,
-                None,
-                DpKernel::Chunked,
-                &mut scratch,
-            );
-            std::hint::black_box(result);
+            let result = SolveCtx::new(&chains[lane], &platform, &oracles[lane], &mut scratch)
+                .reliability_dp(None);
+            std::hint::black_box(result.ok());
         }
     });
     let mut batch_scratch = BatchScratch::new();
-    let mut measure_inner = |inner: BatchInner| {
-        time_median(BATCH_SOA_REPS, || {
-            let results = solve_batch_with_inner(&lanes, inner, &mut batch_scratch);
-            std::hint::black_box(results);
-        })
-    };
-    let lockstep_millis = measure_inner(BatchInner::Lockstep);
-    let blocked_millis = measure_inner(BatchInner::Blocked);
-    let default_millis = match BatchInner::default() {
-        BatchInner::Lockstep => lockstep_millis,
-        BatchInner::Blocked => blocked_millis,
-    };
+    let blocked_millis = time_median(BATCH_SOA_REPS, || {
+        let results = solve_batch(&lanes, &mut batch_scratch);
+        std::hint::black_box(results);
+    });
     let per_s = |millis: f64| BATCH_SOA_INSTANCES as f64 / (millis / 1e3);
     BatchSoaComparison {
         instances: BATCH_SOA_INSTANCES,
@@ -243,12 +221,10 @@ fn run_batch_soa() -> BatchSoaComparison {
         max_replication: platform.max_replication(),
         lanes: LANES,
         per_instance_millis,
-        lockstep_millis,
         blocked_millis,
         per_instance_per_s: per_s(per_instance_millis),
-        lockstep_per_s: per_s(lockstep_millis),
         blocked_per_s: per_s(blocked_millis),
-        speedup: per_instance_millis / default_millis,
+        speedup: per_instance_millis / blocked_millis,
     }
 }
 
@@ -342,15 +318,9 @@ fn run_padded_batch() -> PaddedBatchComparison {
     let mut scratch = DpScratch::new();
     let per_instance_millis = time_median(PADDED_REPS, || {
         for lane in 0..PADDED_INSTANCES {
-            let result = reliability_dp_with_scratch(
-                &oracles[lane],
-                &chains[lane],
-                &platform,
-                None,
-                DpKernel::Chunked,
-                &mut scratch,
-            );
-            std::hint::black_box(result);
+            let result = SolveCtx::new(&chains[lane], &platform, &oracles[lane], &mut scratch)
+                .reliability_dp(None);
+            std::hint::black_box(result.ok());
         }
     });
     let mut batch_scratch = BatchScratch::new();
@@ -360,14 +330,9 @@ fn run_padded_batch() -> PaddedBatchComparison {
     });
     let batched = solve_batch(&lanes, &mut batch_scratch);
     let bit_identical = (0..PADDED_INSTANCES).all(|lane| {
-        let per = reliability_dp_with_scratch(
-            &oracles[lane],
-            &chains[lane],
-            &platform,
-            None,
-            DpKernel::Chunked,
-            &mut scratch,
-        );
+        let per = SolveCtx::new(&chains[lane], &platform, &oracles[lane], &mut scratch)
+            .reliability_dp(None)
+            .ok();
         same_solution(&per, &batched[lane])
     });
     PaddedBatchComparison {
@@ -420,10 +385,10 @@ const HET_KERNEL_INSTANCES: usize = 6;
 const HET_KERNEL_TASKS: usize = 100;
 const HET_KERNEL_REPS: usize = 5;
 
-/// The chunked gather/compact/sweep `algo_het` kernel vs the scalar
-/// reference inner loop, both through `class_dp_with_kernel` with the same
-/// greedy incumbent priming the pruner — exactly the two code paths
-/// `algo_het` chooses between.
+/// The chunked gather/compact/sweep `algo_het` kernel (`SolveCtx::class_dp`)
+/// vs the scalar reference inner loop (`reference::class_dp`), with the same
+/// greedy incumbent priming both pruners, exactly as `algo_het` primes its
+/// class DP.
 #[derive(Debug, Serialize)]
 struct HetKernelComparison {
     instances: usize,
@@ -442,6 +407,9 @@ struct HetKernelComparison {
     /// unconditionally.
     bit_identical: bool,
 }
+
+/// A class-DP kernel: the production chunked one or the scalar reference.
+type ClassDp = fn(&SolveCtx<'_>, Option<f64>, f64) -> Option<OptimalMapping>;
 
 fn run_het_kernel_comparison() -> HetKernelComparison {
     let mut generator = InstanceGenerator::paper_heterogeneous_classes(0x0AC1E);
@@ -469,28 +437,31 @@ fn run_het_kernel_comparison() -> HetKernelComparison {
         let bound = period_slack * chain.total_work() / platform.max_speed();
         // The same greedy incumbent primes both kernels' pruning, exactly
         // as `algo_het` does before entering the class DP.
-        let incumbent = greedy_het_with_oracle(&oracle, &chain, &platform, Some(bound))
+        let mut scratch = DpScratch::new();
+        let incumbent = SolveCtx::new(&chain, &platform, &oracle, &mut scratch)
+            .greedy_het(Some(bound))
             .map(|solution| solution.reliability)
             .unwrap_or(0.0);
         cases.push((oracle, chain, platform, bound, incumbent));
     }
-    let measure = |kernel: DpKernel| {
+    let mut scratch = DpScratch::new();
+    let mut measure = |kernel: ClassDp| {
         time_median(HET_KERNEL_REPS, || {
             for (oracle, chain, platform, bound, incumbent) in &cases {
-                let result =
-                    class_dp_with_kernel(oracle, chain, platform, Some(*bound), *incumbent, kernel);
-                std::hint::black_box(result);
+                let ctx = SolveCtx::new(chain, platform, oracle, &mut scratch);
+                std::hint::black_box(kernel(&ctx, Some(*bound), *incumbent));
             }
         })
     };
-    comparison.scalar_millis = measure(DpKernel::Scalar);
-    comparison.chunked_millis = measure(DpKernel::Chunked);
+    comparison.scalar_millis = measure(reference::class_dp);
+    comparison.chunked_millis = measure(|ctx, bound, incumbent| ctx.class_dp(bound, incumbent));
     comparison.speedup = comparison.scalar_millis / comparison.chunked_millis;
     for (oracle, chain, platform, bound, incumbent) in &cases {
-        let run = |kernel| {
-            class_dp_with_kernel(oracle, chain, platform, Some(*bound), *incumbent, kernel)
-        };
-        comparison.bit_identical &= same_solution(&run(DpKernel::Scalar), &run(DpKernel::Chunked));
+        let ctx = SolveCtx::new(chain, platform, oracle, &mut scratch);
+        comparison.bit_identical &= same_solution(
+            &reference::class_dp(&ctx, Some(*bound), *incumbent),
+            &ctx.class_dp(Some(*bound), *incumbent),
+        );
     }
     comparison
 }
@@ -565,14 +536,16 @@ fn run_het_baseline(het_kernel: HetKernelComparison) -> HetBaseline {
         baseline.processors = platform.num_processors();
         baseline.max_replication = platform.max_replication();
         let oracle = IntervalOracle::new(chain, platform);
+        let mut scratch = DpScratch::new();
+        let ctx = SolveCtx::new(chain, platform, &oracle, &mut scratch);
         baseline.classes = oracle.classes().len();
         let bound = period_slack * chain.total_work() / platform.max_speed();
 
         let start = Instant::now();
-        let dp = algo_het_with_oracle(&oracle, chain, platform, Some(bound));
+        let dp = ctx.algo_het(Some(bound));
         baseline.dp_total_millis += start.elapsed().as_secs_f64() * 1e3;
         let start = Instant::now();
-        let greedy = greedy_het_with_oracle(&oracle, chain, platform, Some(bound));
+        let greedy = ctx.greedy_het(Some(bound));
         baseline.greedy_total_millis += start.elapsed().as_secs_f64() * 1e3;
 
         if let Ok(dp) = &dp {
@@ -673,25 +646,15 @@ fn run_het_lat_baseline() -> HetLatBaseline {
         baseline.processors = platform.num_processors();
         baseline.max_replication = platform.max_replication();
         let oracle = IntervalOracle::new(chain, platform);
+        let mut scratch = DpScratch::new();
+        let mut ctx = SolveCtx::new(chain, platform, &oracle, &mut scratch);
         baseline.classes = oracle.classes().len();
 
         let start = Instant::now();
-        let dp = algo_het_lat_with_oracle(
-            &oracle,
-            chain,
-            platform,
-            Some(bounded.period_bound),
-            bounded.latency_bound,
-        );
+        let dp = ctx.algo_het_lat(Some(bounded.period_bound), bounded.latency_bound);
         baseline.dp_total_millis += start.elapsed().as_secs_f64() * 1e3;
         let start = Instant::now();
-        let greedy = greedy_het_lat_with_oracle(
-            &oracle,
-            chain,
-            platform,
-            Some(bounded.period_bound),
-            bounded.latency_bound,
-        );
+        let greedy = ctx.greedy_het_lat(Some(bounded.period_bound), bounded.latency_bound);
         baseline.greedy_total_millis += start.elapsed().as_secs_f64() * 1e3;
 
         if let Ok(dp) = &dp {
@@ -794,9 +757,7 @@ fn run_repair_baseline() -> RepairBaseline {
 
     let mut cold_reliability = 0.0;
     let cold_millis = time_median(DP_REPS, || {
-        let oracle = IntervalOracle::new(&chain, &shrunken);
-        let result = optimize_reliability_homogeneous_with_oracle(&oracle, &chain, &shrunken)
-            .expect("cold re-solve");
+        let result = optimize_reliability_homogeneous(&chain, &shrunken).expect("cold re-solve");
         cold_reliability = result.reliability;
         std::hint::black_box(&result);
     });
@@ -911,13 +872,7 @@ fn compare_dp(chain: &TaskChain, platform: &Platform, period_bound: Option<f64>)
     let oracle_millis = time_median(DP_REPS, || {
         // Oracle construction is part of the measured fast path: one oracle
         // per instance is exactly what the solvers pay.
-        let oracle = IntervalOracle::new(chain, platform);
-        let result = match period_bound {
-            None => optimize_reliability_homogeneous_with_oracle(&oracle, chain, platform),
-            Some(bound) => {
-                optimize_reliability_with_period_bound_with_oracle(&oracle, chain, platform, bound)
-            }
-        };
+        let result = SolveCtx::fresh(chain, platform, |ctx| ctx.reliability_dp(period_bound));
         std::hint::black_box(result.ok());
     });
     DpComparison {
@@ -941,14 +896,17 @@ fn compare_kernels(
     // separately in `BENCH_oracle.json`. This comparison isolates the DP
     // sweep the two kernels implement differently.
     let oracle = IntervalOracle::new(chain, platform);
-    let measure = |kernel: DpKernel| {
-        time_median(DP_REPS, || {
-            let result = reliability_dp_with_kernel(&oracle, chain, platform, period_bound, kernel);
-            std::hint::black_box(result);
-        })
-    };
-    let scalar_millis = measure(DpKernel::Scalar);
-    let chunked_millis = measure(DpKernel::Chunked);
+    // A fresh scratch per run on both sides, as a one-off solve pays it.
+    let scalar_millis = time_median(DP_REPS, || {
+        let mut scratch = DpScratch::new();
+        let ctx = SolveCtx::new(chain, platform, &oracle, &mut scratch);
+        std::hint::black_box(reference::reliability_dp(&ctx, period_bound));
+    });
+    let chunked_millis = time_median(DP_REPS, || {
+        let result = SolveCtx::new(chain, platform, &oracle, &mut DpScratch::new())
+            .reliability_dp(period_bound);
+        std::hint::black_box(result.ok());
+    });
     KernelComparison {
         tasks: chain.len(),
         processors: platform.num_processors(),
@@ -1157,10 +1115,11 @@ struct ServeBaseline {
     admitted: u64,
     /// Requests coalesced onto an already-queued or in-flight solve.
     coalesced: u64,
-    /// Requests answered from a per-tenant cache shard at admission.
-    shard_cache_hits: u64,
-    /// Responses flagged `coalesced` or `cached` (shard hits plus
-    /// engine-cache answers): duplicate traffic that paid no fresh solve.
+    /// Requests answered from the engine's instance cache at admission.
+    admission_cache_hits: u64,
+    /// Responses flagged `coalesced` or `cached` (admission cache hits plus
+    /// engine-cache answers at dequeue): duplicate traffic that paid no
+    /// fresh solve.
     absorbed_responses: u64,
     /// Engine solve calls issued by the service workers.
     solves: u64,
@@ -1309,7 +1268,7 @@ fn run_serve_baseline() -> ServeBaseline {
         throughput_req_per_s: SERVE_REQUESTS as f64 / elapsed.as_secs_f64(),
         admitted: stats.admitted,
         coalesced: stats.coalesced,
-        shard_cache_hits: stats.cache_hits,
+        admission_cache_hits: stats.cache_hits,
         absorbed_responses,
         solves: stats.solved,
         shed: stats.shed,
@@ -1455,13 +1414,8 @@ fn main() {
     );
     let batch_soa = run_batch_soa();
     eprintln!(
-        "  per-instance {:.1} inst/s, lockstep {:.1} inst/s, blocked {:.1} inst/s \
-         → {:.2}× (default inner {:?})",
-        batch_soa.per_instance_per_s,
-        batch_soa.lockstep_per_s,
-        batch_soa.blocked_per_s,
-        batch_soa.speedup,
-        BatchInner::default(),
+        "  per-instance {:.1} inst/s, batched {:.1} inst/s → {:.2}×",
+        batch_soa.per_instance_per_s, batch_soa.blocked_per_s, batch_soa.speedup,
     );
     let batch_regressed = batch_soa.speedup < 1.4;
 
@@ -1592,13 +1546,13 @@ fn main() {
     );
     let serve = run_serve_baseline();
     eprintln!(
-        "  {:.0} req/s sustained ({:.0}% duplicates; {} coalesced, {} shard hits, \
+        "  {:.0} req/s sustained ({:.0}% duplicates; {} coalesced, {} cache hits, \
          {} absorbed, {} solves); latency p50 {:.2} ms, p99 {:.2} ms, p999 {:.2} ms; \
          {} shed, {} overloaded, {} deadline violations",
         serve.throughput_req_per_s,
         100.0 * serve.duplicate_fraction,
         serve.coalesced,
-        serve.shard_cache_hits,
+        serve.admission_cache_hits,
         serve.absorbed_responses,
         serve.solves,
         serve.latency_p50_ms,

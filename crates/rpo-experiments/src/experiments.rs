@@ -7,12 +7,8 @@
 //! method solved, as in the paper).
 
 use rayon::prelude::*;
-use rpo_algorithms::exact::ProfileSet;
-use rpo_algorithms::{
-    algo_het_lat_with_oracle, algo_het_with_oracle, run_heuristic_with_oracle, HeuristicConfig,
-    IntervalHeuristic,
-};
-use rpo_model::{IntervalOracle, Platform};
+use rpo_algorithms::{DpScratch, HeuristicConfig, IntervalHeuristic, SolveCtx};
+use rpo_model::IntervalOracle;
 use rpo_workload::{ExperimentInstance, InstanceGenerator};
 use serde::{Deserialize, Serialize};
 
@@ -187,26 +183,19 @@ impl ExperimentSpec {
 }
 
 /// Reliability found by one heuristic on one platform under given bounds,
-/// reading every interval metric from the instance's shared oracle (one
+/// reading every interval metric from the context's shared oracle (one
 /// oracle per `(chain, platform)` across the whole bound sweep).
 fn heuristic_reliability(
-    oracle: &IntervalOracle,
-    instance: &ExperimentInstance,
-    platform: &Platform,
+    ctx: &SolveCtx<'_>,
     heuristic: IntervalHeuristic,
     period: f64,
     latency: f64,
 ) -> Option<f64> {
-    run_heuristic_with_oracle(
-        oracle,
-        &instance.chain,
-        platform,
-        &HeuristicConfig {
-            interval_heuristic: heuristic,
-            period_bound: period,
-            latency_bound: latency,
-        },
-    )
+    ctx.run_heuristic(&HeuristicConfig {
+        interval_heuristic: heuristic,
+        period_bound: period,
+        latency_bound: latency,
+    })
     .ok()
     .map(|solution| solution.evaluation.reliability)
 }
@@ -250,7 +239,10 @@ fn run_homogeneous(spec: &ExperimentSpec, instances: &[ExperimentInstance]) -> E
         .map(|instance| {
             let platform = &instance.homogeneous;
             let oracle = IntervalOracle::new(&instance.chain, platform);
-            let profiles = ProfileSet::build_with_oracle(&oracle, platform)
+            let mut scratch = DpScratch::new();
+            let ctx = SolveCtx::new(&instance.chain, platform, &oracle, &mut scratch);
+            let profiles = ctx
+                .partition_profiles()
                 .expect("homogeneous platform by construction");
             let mut optimal = Vec::with_capacity(num_points);
             let mut heur_l = Vec::with_capacity(num_points);
@@ -259,17 +251,13 @@ fn run_homogeneous(spec: &ExperimentSpec, instances: &[ExperimentInstance]) -> E
                 let (period, latency) = spec.rule.bounds(x);
                 optimal.push(profiles.best_reliability_under(period, latency));
                 heur_l.push(heuristic_reliability(
-                    &oracle,
-                    instance,
-                    platform,
+                    &ctx,
                     IntervalHeuristic::MinLatency,
                     period,
                     latency,
                 ));
                 heur_p.push(heuristic_reliability(
-                    &oracle,
-                    instance,
-                    platform,
+                    &ctx,
                     IntervalHeuristic::MinPeriod,
                     period,
                     latency,
@@ -301,37 +289,29 @@ fn run_heterogeneous(spec: &ExperimentSpec, instances: &[ExperimentInstance]) ->
     let results: Vec<[Vec<Option<f64>>; 4]> = instances
         .par_iter()
         .map(|instance| {
-            let het_oracle = IntervalOracle::new(&instance.chain, &instance.heterogeneous);
-            let hom_oracle = IntervalOracle::new(&instance.chain, &instance.homogeneous);
+            let (chain, het, hom) = (
+                &instance.chain,
+                &instance.heterogeneous,
+                &instance.homogeneous,
+            );
+            let (het_oracle, hom_oracle) = (
+                IntervalOracle::new(chain, het),
+                IntervalOracle::new(chain, hom),
+            );
+            let (mut het_scratch, mut hom_scratch) = (DpScratch::new(), DpScratch::new());
+            let het_ctx = SolveCtx::new(chain, het, &het_oracle, &mut het_scratch);
+            let hom_ctx = SolveCtx::new(chain, hom, &hom_oracle, &mut hom_scratch);
             let mut curves: [Vec<Option<f64>>; 4] = Default::default();
             for &x in &spec.x_values {
                 let (period, latency) = spec.rule.bounds(x);
                 let cases = [
-                    (
-                        &het_oracle,
-                        &instance.heterogeneous,
-                        IntervalHeuristic::MinLatency,
-                    ),
-                    (
-                        &het_oracle,
-                        &instance.heterogeneous,
-                        IntervalHeuristic::MinPeriod,
-                    ),
-                    (
-                        &hom_oracle,
-                        &instance.homogeneous,
-                        IntervalHeuristic::MinLatency,
-                    ),
-                    (
-                        &hom_oracle,
-                        &instance.homogeneous,
-                        IntervalHeuristic::MinPeriod,
-                    ),
+                    (&het_ctx, IntervalHeuristic::MinLatency),
+                    (&het_ctx, IntervalHeuristic::MinPeriod),
+                    (&hom_ctx, IntervalHeuristic::MinLatency),
+                    (&hom_ctx, IntervalHeuristic::MinPeriod),
                 ];
-                for (slot, (oracle, platform, heuristic)) in cases.into_iter().enumerate() {
-                    curves[slot].push(heuristic_reliability(
-                        oracle, instance, platform, heuristic, period, latency,
-                    ));
+                for (slot, (ctx, heuristic)) in cases.into_iter().enumerate() {
+                    curves[slot].push(heuristic_reliability(ctx, heuristic, period, latency));
                 }
             }
             curves
@@ -372,13 +352,15 @@ pub fn run_het_dp_sweep(options: &SweepOptions) -> ExperimentData {
         .map(|instance| {
             let platform = &instance.heterogeneous;
             let oracle = IntervalOracle::new(&instance.chain, platform);
+            let mut scratch = DpScratch::new();
+            let ctx = SolveCtx::new(&instance.chain, platform, &oracle, &mut scratch);
             let mut dp = Vec::with_capacity(num_points);
             let mut greedy = Vec::with_capacity(num_points);
             for &x in &x_values {
                 // One solve serves both curves: algo_het runs the greedy
                 // pipeline internally (fallback + pruner) and reports its
                 // reliability alongside the DP's.
-                match algo_het_with_oracle(&oracle, &instance.chain, platform, Some(x)) {
+                match ctx.algo_het(Some(x)) {
                     Ok(solution) => {
                         dp.push(Some(solution.reliability));
                         greedy.push(solution.greedy_reliability);
@@ -426,33 +408,25 @@ pub fn run_het_lat_sweep(options: &SweepOptions) -> ExperimentData {
             let platform = &instance.heterogeneous;
             let period = 0.75 * instance.chain.total_work() / platform.max_speed();
             let oracle = IntervalOracle::new(&instance.chain, platform);
+            let mut scratch = DpScratch::new();
+            let mut ctx = SolveCtx::new(&instance.chain, platform, &oracle, &mut scratch);
             let mut dp = Vec::with_capacity(num_points);
             let mut heur_l = Vec::with_capacity(num_points);
             let mut heur_p = Vec::with_capacity(num_points);
             for &latency in &x_values {
                 dp.push(
-                    algo_het_lat_with_oracle(
-                        &oracle,
-                        &instance.chain,
-                        platform,
-                        Some(period),
-                        latency,
-                    )
-                    .ok()
-                    .map(|solution| solution.reliability),
+                    ctx.algo_het_lat(Some(period), latency)
+                        .ok()
+                        .map(|solution| solution.reliability),
                 );
                 heur_l.push(heuristic_reliability(
-                    &oracle,
-                    instance,
-                    platform,
+                    &ctx,
                     IntervalHeuristic::MinLatency,
                     period,
                     latency,
                 ));
                 heur_p.push(heuristic_reliability(
-                    &oracle,
-                    instance,
-                    platform,
+                    &ctx,
                     IntervalHeuristic::MinPeriod,
                     period,
                     latency,

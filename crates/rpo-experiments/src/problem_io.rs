@@ -5,7 +5,7 @@
 //! its evaluation. This is the "downstream user" entry point: no Rust code is
 //! needed to use the library on a concrete system.
 
-use rpo_algorithms::{exact, run_heuristic_with_oracle, HeuristicConfig, IntervalHeuristic};
+use rpo_algorithms::{exact, DpScratch, HeuristicConfig, IntervalHeuristic, SolveCtx};
 use rpo_model::{IntervalOracle, Mapping, Platform, Processor, ProcessorId, TaskChain};
 use serde::{Deserialize, Serialize};
 
@@ -175,23 +175,21 @@ pub fn solve(spec: &ProblemSpec) -> Result<SolveReport, String> {
     let latency = spec.latency_bound.unwrap_or(f64::INFINITY);
     // One oracle serves every method and every report evaluation.
     let oracle = IntervalOracle::new(&chain, &platform);
+    let mut scratch = DpScratch::new();
+    let ctx = SolveCtx::new(&chain, &platform, &oracle, &mut scratch);
 
     let mut methods = Vec::new();
     for (name, heuristic) in [
         ("Heur-L", IntervalHeuristic::MinLatency),
         ("Heur-P", IntervalHeuristic::MinPeriod),
     ] {
-        let solution = run_heuristic_with_oracle(
-            &oracle,
-            &chain,
-            &platform,
-            &HeuristicConfig {
+        let solution = ctx
+            .run_heuristic(&HeuristicConfig {
                 interval_heuristic: heuristic,
                 period_bound: period,
                 latency_bound: latency,
-            },
-        )
-        .ok();
+            })
+            .ok();
         methods.push(method_report(
             name,
             &oracle,
@@ -201,9 +199,7 @@ pub fn solve(spec: &ProblemSpec) -> Result<SolveReport, String> {
 
     let homogeneous = platform.is_homogeneous();
     if homogeneous && chain.len() <= exact::exhaustive::MAX_EXHAUSTIVE_TASKS {
-        let solution =
-            exact::optimal_homogeneous_with_oracle(&oracle, &chain, &platform, period, latency)
-                .ok();
+        let solution = ctx.optimal_homogeneous(period, latency).ok();
         methods.push(method_report(
             "exact",
             &oracle,

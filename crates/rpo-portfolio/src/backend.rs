@@ -1,12 +1,12 @@
 //! The [`SolverBackend`] abstraction: one uniform `solve` interface over
 //! every solver of `rpo-algorithms`, with per-backend applicability checks.
 //!
-//! Every solve receives the instance's shared [`IntervalOracle`], built once
-//! by the engine and handed to all backends, so none of them recomputes the
-//! Eq. 5–9 interval metrics from scratch.
+//! Every solve receives the instance's shared [`IntervalOracle`] inside its
+//! [`SolveContext`], built once by the engine and handed to all backends, so
+//! none of them recomputes the Eq. 5–9 interval metrics from scratch.
 
 use crate::pareto::StreamingFront;
-use rpo_algorithms::DpScratch;
+use rpo_algorithms::SolveCtx;
 use rpo_model::{
     Canonical, CanonicalHasher, IntervalOracle, Mapping, MappingEvaluation, Platform, TaskChain,
 };
@@ -168,23 +168,9 @@ pub struct CandidateMapping {
 }
 
 impl CandidateMapping {
-    /// Builds a candidate by evaluating `mapping` on the instance.
-    pub fn evaluate(backend: &'static str, instance: &ProblemInstance, mapping: Mapping) -> Self {
-        let evaluation = MappingEvaluation::evaluate(&instance.chain, &instance.platform, &mapping);
-        CandidateMapping {
-            backend,
-            mapping,
-            evaluation,
-        }
-    }
-
-    /// Builds a candidate through the shared oracle's fast evaluation path
-    /// (bit-identical to [`CandidateMapping::evaluate`]).
-    pub fn evaluate_with_oracle(
-        backend: &'static str,
-        oracle: &IntervalOracle,
-        mapping: Mapping,
-    ) -> Self {
+    /// Builds a candidate by evaluating `mapping` through the instance's
+    /// shared oracle (bit-identical to [`MappingEvaluation::evaluate`]).
+    pub fn evaluate(backend: &'static str, oracle: &IntervalOracle, mapping: Mapping) -> Self {
         let evaluation = oracle.evaluate(&mapping);
         CandidateMapping {
             backend,
@@ -210,15 +196,18 @@ impl CandidateMapping {
     }
 }
 
-/// Mutable per-solve state the engine lends to each backend run: a pooled
-/// DP scratch (allocation reuse across the instances of a batch) and a live
-/// view of the solve's streaming Pareto front for mid-solve dominance
-/// probes.
+/// Per-solve state the engine lends to each backend run: the algorithms'
+/// [`SolveCtx`] (the instance, its shared oracle and a pooled DP scratch),
+/// plus what that context does not carry — a live view of the solve's
+/// streaming Pareto front for mid-solve dominance probes.
 pub struct SolveContext<'a> {
-    /// DP arenas from the engine's scratch pool. [`DpScratch::reset`] was
-    /// called before lending, so only allocations carry over between
-    /// instances — never another instance's admissibility data.
-    pub scratch: &'a mut DpScratch,
+    /// The algorithms' context. Its oracle is the one `Arc<IntervalOracle>`
+    /// the engine resolves per solve and shares with every backend; its
+    /// scratch comes from the engine's pool, reset before lending
+    /// ([`DpScratch::reset`](rpo_algorithms::DpScratch::reset)), so only
+    /// allocations carry over between instances — never another instance's
+    /// admissibility data.
+    pub algo: SolveCtx<'a>,
     /// The solve's streaming front, when the engine is racing one. Backends
     /// that sweep many candidate profiles can call
     /// [`StreamingFront::is_dominated`] mid-solve and abandon profiles that
@@ -233,6 +222,12 @@ impl SolveContext<'_> {
     pub fn is_dominated(&self, candidate: &CandidateMapping) -> bool {
         self.front
             .is_some_and(|front| front.is_dominated(candidate))
+    }
+
+    /// Evaluates `mapping` through the shared oracle into a candidate
+    /// attributed to `backend`.
+    pub fn candidate(&self, backend: &'static str, mapping: Mapping) -> CandidateMapping {
+        CandidateMapping::evaluate(backend, self.algo.oracle(), mapping)
     }
 }
 
@@ -254,14 +249,13 @@ pub trait SolverBackend: Send + Sync {
     /// Runs the backend and returns its candidate mappings (possibly empty).
     /// Candidates need not satisfy the instance bounds; the engine filters.
     ///
-    /// `oracle` is the instance's shared interval-metrics kernel: one
-    /// `Arc<IntervalOracle>` built per solve and handed to every backend.
-    /// `ctx` lends the engine's pooled DP scratch and (when racing) the live
-    /// streaming front.
+    /// `ctx` lends the algorithms' context over the instance (its shared
+    /// interval-metrics oracle, built once per solve and handed to every
+    /// backend, and the engine's pooled DP scratch) and, when racing, the
+    /// live streaming front.
     fn solve(
         &self,
         instance: &ProblemInstance,
-        oracle: &IntervalOracle,
         budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping>;

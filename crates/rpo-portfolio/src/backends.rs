@@ -2,39 +2,35 @@
 //!
 //! | backend | wraps | applicability |
 //! |---|---|---|
-//! | `Algo-1` | [`rpo_algorithms::optimize_reliability_homogeneous_with_scratch`] | homogeneous |
-//! | `Algo-2` | [`rpo_algorithms::optimize_with_period_bound_scratch`] | homogeneous, finite period bound |
-//! | `Period-Opt` | [`rpo_algorithms::minimize_period_with_reliability_bound_with_scratch`] | homogeneous |
+//! | `Algo-1` | [`SolveCtx::reliability_dp`](rpo_algorithms::SolveCtx::reliability_dp) without a bound | homogeneous |
+//! | `Algo-2` | [`SolveCtx::reliability_dp`](rpo_algorithms::SolveCtx::reliability_dp) under the period bound | homogeneous, finite period bound |
+//! | `Period-Opt` | [`SolveCtx::minimize_period`](rpo_algorithms::SolveCtx::minimize_period) | homogeneous |
 //! | `Heur-L` | Heur-L partitions + Algo-Alloc / Section 7.2 allocation | always |
 //! | `Heur-P` | Heur-P partitions + Algo-Alloc / Section 7.2 allocation | always |
-//! | `Het-Dp` | [`rpo_algorithms::algo_het_with_oracle`] (exact class-level DP) | heterogeneous, few classes |
-//! | `Het-Dp-Lat` | [`rpo_algorithms::algo_het_lat_with_scratch`] (latency-aware label DP + Lagrangian fallback) | heterogeneous, few classes, finite latency bound |
+//! | `Het-Dp` | [`SolveCtx::algo_het`](rpo_algorithms::SolveCtx::algo_het) (exact class-level DP) | heterogeneous, few classes |
+//! | `Het-Dp-Lat` | [`SolveCtx::algo_het_lat`](rpo_algorithms::SolveCtx::algo_het_lat) (latency-aware label DP + Lagrangian fallback) | heterogeneous, few classes, finite latency bound |
 //! | `Het-Sweep` | Section 7.2 allocation swept over tightened period targets | heterogeneous |
-//! | `ILP` | [`rpo_algorithms::exact::optimal_by_ilp_with_oracle`] | homogeneous, small instances |
-//! | `Exhaustive` | [`rpo_algorithms::exact::optimal_homogeneous_with_oracle`] | homogeneous, bounded size |
+//! | `ILP` | [`SolveCtx::optimal_by_ilp`](rpo_algorithms::SolveCtx::optimal_by_ilp) | homogeneous, small instances |
+//! | `Exhaustive` | [`SolveCtx::optimal_homogeneous`](rpo_algorithms::SolveCtx::optimal_homogeneous) | homogeneous, bounded size |
 //!
-//! All adapters read their interval metrics from the one
-//! [`IntervalOracle`] the engine builds per instance, so racing ten
-//! backends costs a single metrics precomputation. The DP-based adapters
-//! additionally run on the engine's pooled
-//! [`DpScratch`](rpo_algorithms::DpScratch) arenas
-//! (via [`SolveContext`]), and the sweep adapters consult the live
-//! streaming front to abandon already-dominated profiles mid-solve.
+//! Every adapter runs against the one algorithms context the engine lends
+//! per backend run ([`SolveContext::algo`]): all of them read their interval
+//! metrics from the one [`IntervalOracle`](rpo_model::IntervalOracle) the
+//! engine builds per instance, so racing ten backends costs a single metrics
+//! precomputation, and the DP-based adapters run on the engine's pooled
+//! [`DpScratch`](rpo_algorithms::DpScratch) arenas. The sweep adapters also
+//! consult the live streaming front to abandon already-dominated profiles
+//! mid-solve.
 
 use crate::backend::{
     Applicability, Budget, CandidateMapping, ProblemInstance, SolveContext, SolverBackend,
 };
-use rpo_algorithms::alloc::algo_alloc_with_oracle;
-use rpo_algorithms::alloc_het::{algo_alloc_heterogeneous_with_oracle, AllocationConstraints};
+use rpo_algorithms::alloc_het::AllocationConstraints;
 use rpo_algorithms::exact;
-use rpo_algorithms::heur_l::heur_l_partition_with_oracle;
-use rpo_algorithms::heur_p::heur_p_partition_with_oracle;
 use rpo_algorithms::{
-    algo_het_lat_with_scratch, algo_het_with_oracle, het_dp_applicable, het_dp_applicable_platform,
-    minimize_period_with_reliability_bound_with_scratch,
-    optimize_reliability_homogeneous_with_scratch, optimize_with_period_bound_scratch,
+    het_dp_applicable, het_dp_applicable_platform, heur_l_partition, heur_p_partition,
 };
-use rpo_model::{IntervalOracle, IntervalPartition};
+use rpo_model::{IntervalPartition, TaskChain};
 
 const SKIP_HETEROGENEOUS: &str = "requires a homogeneous platform";
 const SKIP_HOMOGENEOUS: &str = "requires a heterogeneous platform";
@@ -77,25 +73,14 @@ impl SolverBackend for Algo1Backend {
 
     fn solve(
         &self,
-        instance: &ProblemInstance,
-        oracle: &IntervalOracle,
+        _instance: &ProblemInstance,
         _budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        optimize_reliability_homogeneous_with_scratch(
-            oracle,
-            &instance.chain,
-            &instance.platform,
-            ctx.scratch,
-        )
-        .map(|solution| {
-            vec![CandidateMapping::evaluate_with_oracle(
-                self.name(),
-                oracle,
-                solution.mapping,
-            )]
-        })
-        .unwrap_or_default()
+        ctx.algo
+            .reliability_dp(None)
+            .map(|solution| vec![ctx.candidate(self.name(), solution.mapping)])
+            .unwrap_or_default()
     }
 }
 
@@ -120,25 +105,13 @@ impl SolverBackend for Algo2Backend {
     fn solve(
         &self,
         instance: &ProblemInstance,
-        oracle: &IntervalOracle,
         _budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        optimize_with_period_bound_scratch(
-            oracle,
-            &instance.chain,
-            &instance.platform,
-            instance.period_bound,
-            ctx.scratch,
-        )
-        .map(|solution| {
-            vec![CandidateMapping::evaluate_with_oracle(
-                self.name(),
-                oracle,
-                solution.mapping,
-            )]
-        })
-        .unwrap_or_default()
+        ctx.algo
+            .reliability_dp(Some(instance.period_bound))
+            .map(|solution| vec![ctx.candidate(self.name(), solution.mapping)])
+            .unwrap_or_default()
     }
 }
 
@@ -161,26 +134,14 @@ impl SolverBackend for PeriodOptBackend {
 
     fn solve(
         &self,
-        instance: &ProblemInstance,
-        oracle: &IntervalOracle,
+        _instance: &ProblemInstance,
         _budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        minimize_period_with_reliability_bound_with_scratch(
-            oracle,
-            &instance.chain,
-            &instance.platform,
-            f64::MIN_POSITIVE,
-            ctx.scratch,
-        )
-        .map(|solution| {
-            vec![CandidateMapping::evaluate_with_oracle(
-                self.name(),
-                oracle,
-                solution.mapping,
-            )]
-        })
-        .unwrap_or_default()
+        ctx.algo
+            .minimize_period(f64::MIN_POSITIVE)
+            .map(|solution| vec![ctx.candidate(self.name(), solution.mapping)])
+            .unwrap_or_default()
     }
 }
 
@@ -188,7 +149,7 @@ impl SolverBackend for PeriodOptBackend {
 /// count instead of only the best-reliability one (richer Pareto fronts).
 pub struct HeuristicBackend {
     name: &'static str,
-    partition: fn(&IntervalOracle, usize) -> IntervalPartition,
+    partition: fn(&TaskChain, usize) -> IntervalPartition,
 }
 
 impl HeuristicBackend {
@@ -196,7 +157,7 @@ impl HeuristicBackend {
     pub fn heur_l() -> Self {
         HeuristicBackend {
             name: "Heur-L",
-            partition: heur_l_partition_with_oracle,
+            partition: heur_l_partition,
         }
     }
 
@@ -204,7 +165,7 @@ impl HeuristicBackend {
     pub fn heur_p() -> Self {
         HeuristicBackend {
             name: "Heur-P",
-            partition: heur_p_partition_with_oracle,
+            partition: heur_p_partition,
         }
     }
 }
@@ -221,35 +182,26 @@ impl SolverBackend for HeuristicBackend {
     fn solve(
         &self,
         instance: &ProblemInstance,
-        oracle: &IntervalOracle,
         _budget: &Budget,
-        _ctx: &mut SolveContext<'_>,
+        ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
         let chain = &instance.chain;
         let platform = &instance.platform;
-        let homogeneous = oracle.is_homogeneous();
+        let homogeneous = ctx.algo.oracle().is_homogeneous();
         let constraints = AllocationConstraints::none();
         let period_bound = instance.finite_period_bound();
 
         let mut candidates = Vec::new();
         for num_intervals in 1..=chain.len().min(platform.num_processors()) {
-            let partition = (self.partition)(oracle, num_intervals);
+            let partition = (self.partition)(chain, num_intervals);
             let mapping = if homogeneous {
-                algo_alloc_with_oracle(oracle, chain, platform, &partition)
+                ctx.algo.algo_alloc(&partition)
             } else {
-                algo_alloc_heterogeneous_with_oracle(
-                    oracle,
-                    chain,
-                    platform,
-                    &partition,
-                    period_bound,
-                    &constraints,
-                )
+                ctx.algo
+                    .algo_alloc_heterogeneous(&partition, period_bound, &constraints)
             };
             if let Ok(mapping) = mapping {
-                candidates.push(CandidateMapping::evaluate_with_oracle(
-                    self.name, oracle, mapping,
-                ));
+                candidates.push(ctx.candidate(self.name, mapping));
             }
         }
         candidates
@@ -281,23 +233,17 @@ impl SolverBackend for HetDpBackend {
     fn solve(
         &self,
         instance: &ProblemInstance,
-        oracle: &IntervalOracle,
         _budget: &Budget,
-        _ctx: &mut SolveContext<'_>,
+        ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        debug_assert!(het_dp_applicable(oracle));
+        debug_assert!(het_dp_applicable(ctx.algo.oracle()));
         let period_bound = instance
             .period_bound
             .is_finite()
             .then_some(instance.period_bound);
-        algo_het_with_oracle(oracle, &instance.chain, &instance.platform, period_bound)
-            .map(|solution| {
-                vec![CandidateMapping::evaluate_with_oracle(
-                    self.name(),
-                    oracle,
-                    solution.mapping,
-                )]
-            })
+        ctx.algo
+            .algo_het(period_bound)
+            .map(|solution| vec![ctx.candidate(self.name(), solution.mapping)])
             .unwrap_or_default()
     }
 }
@@ -332,54 +278,45 @@ impl SolverBackend for HetDpLatBackend {
     fn solve(
         &self,
         instance: &ProblemInstance,
-        oracle: &IntervalOracle,
         _budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        debug_assert!(het_dp_applicable(oracle));
+        debug_assert!(het_dp_applicable(ctx.algo.oracle()));
         let period_bound = instance
             .period_bound
             .is_finite()
             .then_some(instance.period_bound);
-        algo_het_lat_with_scratch(
-            oracle,
-            &instance.chain,
-            &instance.platform,
-            period_bound,
-            instance.latency_bound,
-            ctx.scratch,
-        )
-        .map(|solution| {
-            // Surface which strategy produced the mapping (label DP,
-            // Lagrangian fallback, or greedy) in the trace — the
-            // once-silent fallback this backend is probed for.
-            let method = solution.method;
-            let _span = rpo_obs::recorder().span_fields("het_lat.result", || {
-                vec![("method".to_string(), format!("{method:?}").into())]
-            });
-            // Feed the *whole* merged latency–reliability front into the
-            // streaming front, not just the max-reliability optimum: the
-            // label DP discovers every non-dominated trade-off anyway, and
-            // the faster-but-less-reliable points enrich the portfolio's
-            // Pareto front for free. Points the live front already strictly
-            // dominates are dropped (sound: dominance only tightens).
-            let candidates: Vec<CandidateMapping> = solution
-                .front
-                .into_iter()
-                .map(|point| {
-                    CandidateMapping::evaluate_with_oracle(self.name(), oracle, point.mapping)
-                })
-                .filter(|candidate| {
-                    let dominated = ctx.is_dominated(candidate);
-                    if dominated {
-                        rpo_obs::counter!("backend.dominated_aborts").inc();
-                    }
-                    !dominated
-                })
-                .collect();
-            candidates
-        })
-        .unwrap_or_default()
+        ctx.algo
+            .algo_het_lat(period_bound, instance.latency_bound)
+            .map(|solution| {
+                // Surface which strategy produced the mapping (label DP,
+                // Lagrangian fallback, or greedy) in the trace — the
+                // once-silent fallback this backend is probed for.
+                let method = solution.method;
+                let _span = rpo_obs::recorder().span_fields("het_lat.result", || {
+                    vec![("method".to_string(), format!("{method:?}").into())]
+                });
+                // Feed the *whole* merged latency–reliability front into the
+                // streaming front, not just the max-reliability optimum: the
+                // label DP discovers every non-dominated trade-off anyway, and
+                // the faster-but-less-reliable points enrich the portfolio's
+                // Pareto front for free. Points the live front already strictly
+                // dominates are dropped (sound: dominance only tightens).
+                let candidates: Vec<CandidateMapping> = solution
+                    .front
+                    .into_iter()
+                    .map(|point| ctx.candidate(self.name(), point.mapping))
+                    .filter(|candidate| {
+                        let dominated = ctx.is_dominated(candidate);
+                        if dominated {
+                            rpo_obs::counter!("backend.dominated_aborts").inc();
+                        }
+                        !dominated
+                    })
+                    .collect();
+                candidates
+            })
+            .unwrap_or_default()
     }
 }
 
@@ -413,7 +350,6 @@ impl SolverBackend for HetSweepBackend {
     fn solve(
         &self,
         instance: &ProblemInstance,
-        oracle: &IntervalOracle,
         _budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
@@ -442,18 +378,13 @@ impl SolverBackend for HetSweepBackend {
         for step in 0..=steps {
             let target = lower * ratio.powi(step as i32);
             for num_intervals in 1..=chain.len().min(platform.num_processors()) {
-                for partition_fn in [heur_l_partition_with_oracle, heur_p_partition_with_oracle] {
-                    let partition = partition_fn(oracle, num_intervals);
-                    if let Ok(mapping) = algo_alloc_heterogeneous_with_oracle(
-                        oracle,
-                        chain,
-                        platform,
-                        &partition,
-                        target,
-                        &constraints,
-                    ) {
-                        let candidate =
-                            CandidateMapping::evaluate_with_oracle(self.name(), oracle, mapping);
+                for partition_fn in [heur_l_partition, heur_p_partition] {
+                    let partition = partition_fn(chain, num_intervals);
+                    if let Ok(mapping) =
+                        ctx.algo
+                            .algo_alloc_heterogeneous(&partition, target, &constraints)
+                    {
+                        let candidate = ctx.candidate(self.name(), mapping);
                         // Abandon profiles the live front already strictly
                         // dominates: they can never enter the final front.
                         if !ctx.is_dominated(&candidate) {
@@ -490,25 +421,13 @@ impl SolverBackend for IlpBackend {
     fn solve(
         &self,
         instance: &ProblemInstance,
-        oracle: &IntervalOracle,
         _budget: &Budget,
-        _ctx: &mut SolveContext<'_>,
+        ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        exact::optimal_by_ilp_with_oracle(
-            oracle,
-            &instance.chain,
-            &instance.platform,
-            instance.period_bound,
-            instance.latency_bound,
-        )
-        .map(|solution| {
-            vec![CandidateMapping::evaluate_with_oracle(
-                self.name(),
-                oracle,
-                solution.mapping,
-            )]
-        })
-        .unwrap_or_default()
+        ctx.algo
+            .optimal_by_ilp(instance.period_bound, instance.latency_bound)
+            .map(|solution| vec![ctx.candidate(self.name(), solution.mapping)])
+            .unwrap_or_default()
     }
 }
 
@@ -536,33 +455,21 @@ impl SolverBackend for ExhaustiveBackend {
     fn solve(
         &self,
         instance: &ProblemInstance,
-        oracle: &IntervalOracle,
         _budget: &Budget,
-        _ctx: &mut SolveContext<'_>,
+        ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        exact::optimal_homogeneous_with_oracle(
-            oracle,
-            &instance.chain,
-            &instance.platform,
-            instance.period_bound,
-            instance.latency_bound,
-        )
-        .map(|solution| {
-            vec![CandidateMapping::evaluate_with_oracle(
-                self.name(),
-                oracle,
-                solution.mapping,
-            )]
-        })
-        .unwrap_or_default()
+        ctx.algo
+            .optimal_homogeneous(instance.period_bound, instance.latency_bound)
+            .map(|solution| vec![ctx.candidate(self.name(), solution.mapping)])
+            .unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpo_algorithms::DpScratch;
-    use rpo_model::{Platform, PlatformBuilder, TaskChain};
+    use rpo_algorithms::{DpScratch, SolveCtx};
+    use rpo_model::{IntervalOracle, Platform, PlatformBuilder};
 
     /// Runs a backend with a fresh scratch and no streaming front, the way
     /// unit tests exercise a single adapter.
@@ -574,10 +481,10 @@ mod tests {
     ) -> Vec<CandidateMapping> {
         let mut scratch = DpScratch::new();
         let mut ctx = SolveContext {
-            scratch: &mut scratch,
+            algo: SolveCtx::new(&instance.chain, &instance.platform, oracle, &mut scratch),
             front: None,
         };
-        backend.solve(instance, oracle, budget, &mut ctx)
+        backend.solve(instance, budget, &mut ctx)
     }
 
     fn hom_instance() -> ProblemInstance {

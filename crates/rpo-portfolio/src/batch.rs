@@ -200,7 +200,7 @@ pub struct BatchReport {
     /// Peak number of concurrently committed solver threads across the
     /// batch (each in-flight solve counts its per-solve thread width).
     /// Adaptive deep solves are sized by the live commitment at dispatch
-    /// ([`deep_solve_width`]), so a deep solve dispatched into a busy batch
+    /// (`deep_solve_width`), so a deep solve dispatched into a busy batch
     /// only ever receives the idle capacity — the peak stays below
     /// `2 × workers` (exactly: `2 × workers − permits`) regardless of the
     /// engine's configured per-solve thread count, and transient spikes
@@ -400,11 +400,7 @@ fn solve_bucket(
         let mut precomputed: Vec<(&'static str, Vec<CandidateMapping>)> = Vec::new();
         let candidates = |solution: Option<rpo_algorithms::OptimalMapping>, name| {
             solution
-                .map(|s| {
-                    vec![CandidateMapping::evaluate_with_oracle(
-                        name, oracle, s.mapping,
-                    )]
-                })
+                .map(|s| vec![CandidateMapping::evaluate(name, oracle, s.mapping)])
                 .unwrap_or_default()
         };
         precomputed.push(("Algo-1", candidates(algo1.next().flatten(), "Algo-1")));

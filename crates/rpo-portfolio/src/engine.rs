@@ -6,25 +6,12 @@ use crate::backend::{Applicability, Budget, ProblemInstance, SolveContext, Solve
 use crate::backends::default_backends;
 use crate::cache::{CacheStats, InstanceCache, OracleCache};
 use crate::pareto::{ParetoFront, StreamingFront};
-use rpo_algorithms::DpScratch;
+use rpo_algorithms::{DpScratch, SolveCtx};
 use rpo_obs::{Counter, Histogram};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// How the engine races its backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RaceMode {
-    /// Run every applicable backend and merge everything (deterministic
-    /// front: the merge order is the fixed backend order, not thread order).
-    #[default]
-    RunAll,
-    /// Stop dispatching new backends once one has produced a feasible
-    /// candidate; backends already running still contribute. Lower latency,
-    /// but which backends ran depends on timing.
-    FirstFeasible,
-}
 
 /// What happened to one backend during a solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,8 +22,6 @@ pub enum RunStatus {
     Skipped(&'static str),
     /// The time budget expired before the backend was dispatched.
     DeadlineExpired,
-    /// First-feasible mode: a winner emerged before this backend started.
-    Preempted,
     /// The caller supplied this backend's candidates precomputed (e.g. from
     /// the batched SoA mega-kernel), so the backend was not dispatched; its
     /// candidates were re-certified and merged like a completed run's.
@@ -161,7 +146,6 @@ impl ScratchPool {
 pub struct PortfolioEngine {
     backends: Vec<Box<dyn SolverBackend>>,
     budget: Budget,
-    mode: RaceMode,
     threads: usize,
     cache: Mutex<InstanceCache>,
     /// Chain-keyed oracle cache: near-duplicate instances (same chain and
@@ -202,8 +186,10 @@ impl PortfolioEngine {
     /// worker of a wide batch; arenas beyond it are simply dropped.
     pub const DEFAULT_SCRATCH_POOL_CAPACITY: usize = 64;
 
-    /// An engine racing `backends` under `budget`, in [`RaceMode::RunAll`],
-    /// with one worker thread per available core.
+    /// An engine racing every applicable backend of `backends` under
+    /// `budget` and merging everything (a deterministic front: the merge
+    /// order is the fixed backend order, not thread order), with one worker
+    /// thread per available core.
     pub fn new(backends: Vec<Box<dyn SolverBackend>>, budget: Budget) -> Self {
         let threads = std::thread::available_parallelism()
             .map(NonZeroUsize::get)
@@ -219,19 +205,12 @@ impl PortfolioEngine {
         PortfolioEngine {
             backends,
             budget,
-            mode: RaceMode::RunAll,
             threads,
             cache: Mutex::new(InstanceCache::new(Self::DEFAULT_CACHE_CAPACITY)),
             oracles: Mutex::new(OracleCache::new(Self::DEFAULT_ORACLE_CACHE_CAPACITY)),
             scratch: ScratchPool::new(Self::DEFAULT_SCRATCH_POOL_CAPACITY),
             backend_obs,
         }
-    }
-
-    /// Sets the race mode.
-    pub fn with_mode(mut self, mode: RaceMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Sets the number of worker threads used per solve (min 1).
@@ -369,6 +348,17 @@ impl PortfolioEngine {
         }
     }
 
+    /// The front a completed solve of an identical instance left in the
+    /// instance cache, if any — a lookup only, never a solve. Counts as one
+    /// hit or miss in [`Self::cache_stats`]. This is the serving layer's
+    /// admission fast path.
+    pub fn cached(&self, instance: &ProblemInstance) -> Option<Arc<ParetoFront>> {
+        self.cache
+            .lock()
+            .expect("cache lock poisoned")
+            .get(instance)
+    }
+
     fn solve_inner(
         &self,
         instance: &ProblemInstance,
@@ -376,12 +366,7 @@ impl PortfolioEngine {
         precomputed: Vec<(&'static str, Vec<crate::backend::CandidateMapping>)>,
         deadline_override: Option<Instant>,
     ) -> PortfolioOutcome {
-        if let Some(front) = self
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .get(instance)
-        {
+        if let Some(front) = self.cached(instance) {
             return PortfolioOutcome {
                 front,
                 runs: Vec::new(),
@@ -445,23 +430,18 @@ impl PortfolioEngine {
         // finishes (ParetoFront::insert is insertion-order independent, so
         // the front still never depends on thread scheduling).
         let queue = AtomicUsize::new(0);
-        let winner_found = AtomicBool::new(false);
         let expired = AtomicBool::new(false);
         let streaming = StreamingFront::new();
 
         // Seed the front with the precomputed results, through the same
         // re-certify → bound-filter → merge pipeline a live backend's
-        // candidates take. Seeding before the race also lets FirstFeasible
-        // mode preempt on a precomputed winner.
+        // candidates take.
         for (name, mut candidates) in precomputed {
             let total = candidates.len();
             for candidate in &mut candidates {
                 candidate.evaluation = oracle.evaluate(&candidate.mapping);
             }
             candidates.retain(|c| instance.admits(&c.evaluation));
-            if !candidates.is_empty() {
-                winner_found.store(true, Ordering::Release);
-            }
             let feasible = candidates.len();
             if let Some(index) = self.backends.iter().position(|b| b.name() == name) {
                 runs[index].candidates = total;
@@ -494,11 +474,7 @@ impl PortfolioEngine {
                 };
                 let backend = &self.backends[index];
 
-                let outcome = if self.mode == RaceMode::FirstFeasible
-                    && winner_found.load(Ordering::Acquire)
-                {
-                    (RunStatus::Preempted, 0, 0, 0)
-                } else if expired.load(Ordering::Acquire)
+                let outcome = if expired.load(Ordering::Acquire)
                     || deadline.is_some_and(|d| Instant::now() >= d)
                 {
                     expired.store(true, Ordering::Release);
@@ -509,10 +485,15 @@ impl PortfolioEngine {
                     });
                     let backend_start = Instant::now();
                     let mut ctx = SolveContext {
-                        scratch: &mut scratch,
+                        algo: SolveCtx::new(
+                            &instance.chain,
+                            &instance.platform,
+                            &oracle,
+                            &mut scratch,
+                        ),
                         front: Some(&streaming),
                     };
-                    let mut candidates = backend.solve(instance, &oracle, &self.budget, &mut ctx);
+                    let mut candidates = backend.solve(instance, &self.budget, &mut ctx);
                     let elapsed = backend_start.elapsed();
                     drop(backend_span);
                     self.backend_obs[index].solve.record(elapsed);
@@ -526,9 +507,6 @@ impl PortfolioEngine {
                         candidate.evaluation = oracle.evaluate(&candidate.mapping);
                     }
                     candidates.retain(|c| instance.admits(&c.evaluation));
-                    if !candidates.is_empty() {
-                        winner_found.store(true, Ordering::Release);
-                    }
                     let feasible = candidates.len();
                     self.backend_obs[index].feasible.add(feasible as u64);
                     for candidate in candidates {
@@ -672,14 +650,6 @@ mod tests {
             completed >= 5,
             "expected at least five backends to run, got {completed}"
         );
-    }
-
-    #[test]
-    fn first_feasible_mode_still_returns_a_valid_front() {
-        let engine = PortfolioEngine::default().with_mode(RaceMode::FirstFeasible);
-        let outcome = engine.solve(&instance());
-        assert!(outcome.is_feasible());
-        assert!(outcome.front.is_mutually_non_dominated());
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   [`StreamingFront`] candidates flow into as each backend finishes,
 //!   re-certified through the instance's shared oracle;
 //! * [`PortfolioEngine`] ([`engine`]) — the parallel race itself: worker
-//!   threads pull backends from a shared queue, with run-all and
-//!   first-feasible-wins modes and a wall-clock budget;
+//!   threads pull every applicable backend from a shared queue under a
+//!   wall-clock budget;
 //! * [`InstanceCache`] ([`cache`]) — an LRU keyed by the canonical hash of
 //!   `(chain, platform, bounds)`, so repeated solves are O(1) — and the
 //!   chain-keyed [`OracleCache`] that lets near-duplicate instances (same
@@ -71,5 +71,5 @@ pub use backends::default_backends;
 pub use batch::{BackendStats, BatchConfig, BatchDriver, BatchReport, BoundsPolicy, ThreadSplit};
 pub use cache::{CacheStats, InstanceCache, OracleCache};
 pub use churn::{ChurnConfig, ChurnReport};
-pub use engine::{BackendRun, PortfolioEngine, PortfolioOutcome, RaceMode, RunStatus};
+pub use engine::{BackendRun, PortfolioEngine, PortfolioOutcome, RunStatus};
 pub use pareto::{ParetoFront, StreamingFront};

@@ -3,10 +3,7 @@
 
 use std::time::Instant;
 
-use rpo_algorithms::{
-    algo_het_with_oracle, greedy_het_with_oracle, reliability_dp_with_scratch,
-    repair_reliability_dp_with_scratch, AlgoError, DpKernel, DpScratch, WarmPath,
-};
+use rpo_algorithms::{AlgoError, DpScratch, SolveCtx, WarmPath};
 use rpo_model::{
     AppliedDelta, IntervalOracle, MappedInterval, Mapping, MappingEvaluation, ModelError, Platform,
     PlatformDelta, TaskChain,
@@ -82,21 +79,10 @@ impl RepairSession {
         }
         let oracle = IntervalOracle::new(&chain, &platform);
         let mut scratch = DpScratch::new();
-        let (mapping, reliability) = if oracle.is_homogeneous() {
-            let solution = reliability_dp_with_scratch(
-                &oracle,
-                &chain,
-                &platform,
-                period_bound,
-                DpKernel::crate_default(),
-                &mut scratch,
-            )
-            .ok_or(AlgoError::NoFeasibleMapping)?;
-            (solution.mapping, solution.reliability)
-        } else {
-            let solution = algo_het_with_oracle(&oracle, &chain, &platform, period_bound)?;
-            (solution.mapping, solution.reliability)
-        };
+        let (mapping, reliability, _) = full_solve(
+            &mut SolveCtx::new(&chain, &platform, &oracle, &mut scratch),
+            period_bound,
+        )?;
         Ok(RepairSession {
             chain,
             platform,
@@ -158,8 +144,12 @@ impl RepairSession {
         };
         let previous_reliability = self.reliability;
         let repaired = run_ladder(
-            &self.oracle,
-            &mut self.scratch,
+            &mut SolveCtx::new(
+                &applied.chain,
+                &applied.platform,
+                &self.oracle,
+                &mut self.scratch,
+            ),
             &self.mapping,
             &self.platform,
             self.period_bound,
@@ -201,16 +191,17 @@ impl RepairSession {
 }
 
 /// Walks the ladder for one applied delta, returning the repaired mapping,
-/// its exact reliability, and the tier that produced it.
+/// its exact reliability, and the tier that produced it. `ctx` is over the
+/// post-delta instance and the session's (already advanced) oracle.
 fn run_ladder(
-    oracle: &IntervalOracle,
-    scratch: &mut DpScratch,
+    ctx: &mut SolveCtx<'_>,
     mapping: &Mapping,
     pre_platform: &Platform,
     period_bound: Option<f64>,
     applied: &AppliedDelta,
     delta: &PlatformDelta,
 ) -> Result<(Mapping, f64, RepairTier), AlgoError> {
+    let oracle = ctx.oracle();
     let homogeneous = oracle.is_homogeneous();
     match *delta {
         PlatformDelta::ProcessorFailed(_) => {
@@ -223,24 +214,22 @@ fn run_ladder(
                 }
                 // Heterogeneous: certify against the greedy baseline; a
                 // patch below greedy escalates to the full class solve.
-                let greedy =
-                    greedy_het_with_oracle(oracle, &applied.chain, &applied.platform, period_bound);
-                match greedy {
+                match ctx.greedy_het(period_bound) {
                     Ok(ref baseline) if baseline.reliability > reliability => {}
                     _ => return Ok((patched, reliability, RepairTier::LocalPatch)),
                 }
             }
             if homogeneous {
-                warm_dp(oracle, scratch, period_bound, applied)
+                warm_dp(ctx, period_bound, applied)
             } else {
-                full_solve(oracle, scratch, period_bound, applied)
+                full_solve(ctx, period_bound)
             }
         }
         PlatformDelta::TaskWorkRevised { .. } => {
             if homogeneous && !applied.factored_changed {
-                warm_dp(oracle, scratch, period_bound, applied)
+                warm_dp(ctx, period_bound, applied)
             } else {
-                full_solve(oracle, scratch, period_bound, applied)
+                full_solve(ctx, period_bound)
             }
         }
         PlatformDelta::SpeedDegraded { .. } | PlatformDelta::RateRevised { .. } => {
@@ -256,7 +245,7 @@ fn run_ladder(
                     ));
                 }
             }
-            full_solve(oracle, scratch, period_bound, applied)
+            full_solve(ctx, period_bound)
         }
     }
 }
@@ -317,20 +306,11 @@ fn local_patch(
 /// (`AppliedDelta::first_affected_task` rows). Reports [`RepairTier::FullSolve`]
 /// when the warm preconditions did not hold and a cold sweep ran instead.
 fn warm_dp(
-    oracle: &IntervalOracle,
-    scratch: &mut DpScratch,
+    ctx: &mut SolveCtx<'_>,
     period_bound: Option<f64>,
     applied: &AppliedDelta,
 ) -> Result<(Mapping, f64, RepairTier), AlgoError> {
-    let (solution, path) = repair_reliability_dp_with_scratch(
-        oracle,
-        &applied.chain,
-        &applied.platform,
-        period_bound,
-        applied.first_affected_task,
-        scratch,
-    )
-    .ok_or(AlgoError::NoFeasibleMapping)?;
+    let (solution, path) = ctx.repair_reliability_dp(period_bound, applied.first_affected_task)?;
     let tier = match path {
         WarmPath::ReusedGrid => RepairTier::WarmDp,
         WarmPath::Resolved => RepairTier::FullSolve,
@@ -338,37 +318,21 @@ fn warm_dp(
     Ok((solution.mapping, solution.reliability, tier))
 }
 
-/// Tier 3: cold re-solve on the post-delta instance.
+/// Tier 3: cold solve of the context's instance — the homogeneous DP
+/// (Algorithm 1, or Algorithm 2 under a period bound, which leaves its
+/// boundary grid warm in the scratch) or the heterogeneous class DP.
 fn full_solve(
-    oracle: &IntervalOracle,
-    scratch: &mut DpScratch,
+    ctx: &mut SolveCtx<'_>,
     period_bound: Option<f64>,
-    applied: &AppliedDelta,
 ) -> Result<(Mapping, f64, RepairTier), AlgoError> {
-    if oracle.is_homogeneous() {
-        let solution = reliability_dp_with_scratch(
-            oracle,
-            &applied.chain,
-            &applied.platform,
-            period_bound,
-            DpKernel::crate_default(),
-            scratch,
-        )
-        .ok_or(AlgoError::NoFeasibleMapping)?;
-        Ok((
-            solution.mapping,
-            solution.reliability,
-            RepairTier::FullSolve,
-        ))
+    let (mapping, reliability) = if ctx.oracle().is_homogeneous() {
+        let solution = ctx.reliability_dp(period_bound)?;
+        (solution.mapping, solution.reliability)
     } else {
-        let solution =
-            algo_het_with_oracle(oracle, &applied.chain, &applied.platform, period_bound)?;
-        Ok((
-            solution.mapping,
-            solution.reliability,
-            RepairTier::FullSolve,
-        ))
-    }
+        let solution = ctx.algo_het(period_bound)?;
+        (solution.mapping, solution.reliability)
+    };
+    Ok((mapping, reliability, RepairTier::FullSolve))
 }
 
 /// Whether an evaluation satisfies the session's period bound (Algorithm 2

@@ -17,7 +17,8 @@ pub struct ServeRequest {
     /// Client-chosen correlation id, echoed verbatim in the response.
     #[serde(default)]
     pub id: u64,
-    /// Tenant label; requests of the same tenant share a cache shard.
+    /// Tenant label. Carried on the wire for clients and load generators,
+    /// but a label only: caching, coalescing and admission ignore it.
     #[serde(default)]
     pub tenant: u64,
     /// Per-request deadline in milliseconds, measured from admission.
@@ -109,8 +110,8 @@ pub struct ServeResponse {
     /// Whether this response was coalesced onto another request's solve.
     #[serde(default)]
     pub coalesced: bool,
-    /// Whether this response was answered from a cache (tenant shard or the
-    /// engine's shared cache) without a fresh solve.
+    /// Whether this response was answered from the engine's instance cache
+    /// without a fresh solve.
     #[serde(default)]
     pub cached: bool,
     /// Time the request spent queued before its solve started, in µs

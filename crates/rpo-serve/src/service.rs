@@ -1,8 +1,8 @@
-//! The solver service: admission control, coalescing, sharded caching, and
-//! the worker loop, independent of any particular wire protocol.
+//! The solver service: admission control, coalescing, the cached-front fast
+//! path, and the worker loop, independent of any particular wire protocol.
 
 use crate::proto::{ResponseStatus, ServeRequest, ServeResponse};
-use rpo_portfolio::{InstanceCache, ParetoFront, PortfolioEngine, ProblemInstance};
+use rpo_portfolio::{ParetoFront, PortfolioEngine, ProblemInstance};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -23,10 +23,6 @@ pub struct ServeConfig {
     /// Deadline for requests that do not carry their own `deadline_ms`
     /// (`None` = such requests never expire).
     pub default_deadline: Option<Duration>,
-    /// Number of per-tenant cache shards (tenant id modulo shards).
-    pub tenant_shards: usize,
-    /// Capacity of each tenant shard.
-    pub shard_capacity: usize,
     /// Thread width handed to the engine per solve.
     pub solve_threads: usize,
 }
@@ -37,8 +33,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 512,
             default_deadline: Some(Duration::from_millis(250)),
-            tenant_shards: 8,
-            shard_capacity: 256,
             solve_threads: 1,
         }
     }
@@ -53,7 +47,7 @@ pub struct ServeStats {
     /// Requests that attached to an already queued or in-flight identical
     /// solve.
     pub coalesced: u64,
-    /// Requests answered from a cache (tenant shard) at admission.
+    /// Requests answered at admission from the engine's instance cache.
     pub cache_hits: u64,
     /// Requests shed because their deadline passed before their solve could
     /// start, or before their response could be delivered.
@@ -74,7 +68,6 @@ pub type Responder = Box<dyn FnOnce(ServeResponse) + Send + 'static>;
 /// One party waiting on a queued (possibly shared) solve.
 struct Waiter {
     id: u64,
-    tenant: u64,
     submitted: Instant,
     deadline: Option<Instant>,
     coalesced: bool,
@@ -102,7 +95,6 @@ struct Core {
     state: Mutex<State>,
     /// Signals workers that the queue gained work or drain started.
     work: Condvar,
-    shards: Vec<Mutex<InstanceCache>>,
     admitted: AtomicU64,
     coalesced: AtomicU64,
     cache_hits: AtomicU64,
@@ -144,9 +136,6 @@ impl SolverService {
     /// Starts the service: spawns [`ServeConfig::workers`] solver threads
     /// over `engine`.
     pub fn start(engine: Arc<PortfolioEngine>, config: ServeConfig) -> Self {
-        let shards = (0..config.tenant_shards.max(1))
-            .map(|_| Mutex::new(InstanceCache::new(config.shard_capacity)))
-            .collect();
         let core = Arc::new(Core {
             engine,
             config: config.clone(),
@@ -156,7 +145,6 @@ impl SolverService {
                 draining: false,
             }),
             work: Condvar::new(),
-            shards,
             admitted: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -214,7 +202,7 @@ impl SolverService {
     /// `workers: 0` (the deterministic test mode) — with live workers it
     /// merely competes with them.
     pub fn process_one(&self) -> bool {
-        process_next(&self.core, false)
+        process_next(&self.core)
     }
 
     /// Graceful drain: stops admitting (late submissions get
@@ -237,7 +225,7 @@ impl SolverService {
         }
         // With no workers (test mode), the queue is drained here so every
         // outstanding ticket still resolves.
-        while process_next(&self.core, true) {}
+        while process_next(&self.core) {}
         self.core.stats()
     }
 }
@@ -253,10 +241,6 @@ impl Core {
             drained: self.drained.load(Ordering::Relaxed),
             solved: self.solved.load(Ordering::Relaxed),
         }
-    }
-
-    fn shard(&self, tenant: u64) -> &Mutex<InstanceCache> {
-        &self.shards[(tenant % self.shards.len() as u64) as usize]
     }
 
     fn submit(&self, request: ServeRequest, respond: Responder) {
@@ -286,15 +270,11 @@ impl Core {
             }
         };
 
-        // Tenant-shard fast path: answer without touching the queue. The
-        // shard holds fronts this service itself certified, so a hit is
-        // bit-identical to the solve that produced it.
-        let shard_hit = self
-            .shard(request.tenant)
-            .lock()
-            .expect("tenant shard poisoned")
-            .get(&instance);
-        if let Some(front) = shard_hit {
+        // Cached-front fast path: answer without touching the queue. The
+        // engine caches only fronts of completed (not deadline-expired)
+        // solves, so a hit is bit-identical to the solve that produced it,
+        // whichever tenant sent it.
+        if let Some(front) = self.engine.cached(&instance) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             rpo_obs::counter!("serve.cache_hits").inc();
             let response = respond_from_front(request.id, &front, true);
@@ -322,7 +302,6 @@ impl Core {
         let key = instance.canonical_key();
         let waiter = Waiter {
             id: request.id,
-            tenant: request.tenant,
             submitted,
             deadline,
             coalesced: false,
@@ -466,14 +445,13 @@ fn worker_loop(core: &Core) {
         }
         // Queue non-empty (or racing another worker for the last item) —
         // process_next handles the empty race benignly.
-        process_next(core, true);
+        process_next(core);
     }
 }
 
-/// Pops and runs one queued solve. Returns `false` if the queue was empty.
-/// `block_on_engine` is always true today; the flag documents that the
-/// engine call happens outside every service lock.
-fn process_next(core: &Core, _block_on_engine: bool) -> bool {
+/// Pops and runs one queued solve (the engine call happens outside every
+/// service lock). Returns `false` if the queue was empty.
+fn process_next(core: &Core) -> bool {
     // Dequeue under the lock; solve outside it.
     let (key, instance, enqueued) = {
         let mut state = core.state.lock().expect("serve state poisoned");
@@ -535,31 +513,17 @@ fn process_next(core: &Core, _block_on_engine: bool) -> bool {
     let solve_micros = solve_start.elapsed().as_micros() as u64;
     core.solved.fetch_add(1, Ordering::Relaxed);
 
-    // Publish to the tenant shards *before* detaching the waiters, so a
-    // duplicate arriving after its original's entry disappears finds the
-    // front in its shard. Deadline-expired (partial) fronts are not
-    // published — matching the engine's own no-caching rule.
-    let waiters = {
-        let mut state = core.state.lock().expect("serve state poisoned");
-        let pending = state
-            .pending
-            .remove(&key)
-            .expect("queued key without pending entry");
-        if !outcome.deadline_expired {
-            let mut published: Vec<u64> = Vec::new();
-            for waiter in &pending.waiters {
-                let shard_index = waiter.tenant % core.shards.len() as u64;
-                if !published.contains(&shard_index) {
-                    published.push(shard_index);
-                    core.shards[shard_index as usize]
-                        .lock()
-                        .expect("tenant shard poisoned")
-                        .put(&instance, std::sync::Arc::clone(&outcome.front));
-                }
-            }
-        }
-        pending.waiters
-    };
+    // The engine cached the front (unless the deadline expired) before
+    // returning, so a duplicate arriving after this entry disappears is
+    // answered at admission.
+    let waiters = core
+        .state
+        .lock()
+        .expect("serve state poisoned")
+        .pending
+        .remove(&key)
+        .expect("queued key without pending entry")
+        .waiters;
 
     // Delivery-time deadline check: a response is never handed out past its
     // waiter's deadline — late results are converted to sheds, structurally
@@ -572,8 +536,9 @@ fn process_next(core: &Core, _block_on_engine: bool) -> bool {
             shed_response(waiter.id)
         } else {
             // `cached` is honest here: the engine may have answered an
-            // admitted request from its own instance cache (e.g. a
-            // cross-tenant duplicate that missed the tenant shards).
+            // admitted request from its instance cache (a duplicate whose
+            // original finished between its admission lookup and its
+            // dequeue).
             let mut response = respond_from_front(waiter.id, &outcome.front, outcome.from_cache);
             response.coalesced = waiter.coalesced;
             response.queue_wait_micros = queue_wait.as_micros() as u64;

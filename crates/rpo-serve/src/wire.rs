@@ -54,13 +54,19 @@ pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
     Ok(())
 }
 
+/// Writes one response as a single newline-terminated line in **one**
+/// `write_all` call: on an unbuffered socket, a separate write for the
+/// trailing newline would go out as its own segment, and Nagle's algorithm
+/// would hold it until the peer acknowledges the first — a delayed-ACK
+/// stall of tens of milliseconds per response.
 fn write_response<W: Write>(writer: &Mutex<W>, response: &ServeResponse) {
-    let json = serde_json::to_string(response)
+    let mut line = serde_json::to_string(response)
         .expect("responses contain no non-finite floats and always serialize");
+    line.push('\n');
     let mut writer = writer.lock().expect("response writer poisoned");
     // A dead peer is not an error worth crashing the service over; the
     // submission loop notices EOF on its own side.
-    let _ = writeln!(writer, "{json}");
+    let _ = writer.write_all(line.as_bytes());
     let _ = writer.flush();
 }
 
@@ -87,6 +93,9 @@ impl TcpServer {
                     break;
                 }
                 let Ok(stream) = connection else { continue };
+                // Responses are whole lines written at once; send each
+                // without waiting to coalesce it with later output.
+                let _ = stream.set_nodelay(true);
                 let service = Arc::clone(&service);
                 std::thread::spawn(move || {
                     let reader = match stream.try_clone() {
@@ -118,6 +127,61 @@ impl TcpServer {
         let _ = TcpStream::connect(self.addr);
         if let Some(accept_loop) = self.accept_loop.take() {
             let _ = accept_loop.join();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServeConfig;
+    use rpo_portfolio::PortfolioEngine;
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Clone, Default)]
+    struct RecordingWriter(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_leaves_in_exactly_one_write_ending_in_a_newline() {
+        let service = SolverService::start(
+            Arc::new(PortfolioEngine::default().with_threads(1)),
+            ServeConfig {
+                workers: 0,
+                ..ServeConfig::default()
+            },
+        );
+        let request = ServeRequest {
+            id: 7,
+            tenant: 0,
+            deadline_ms: None,
+            chain: rpo_model::TaskChain::from_pairs(&[(30.0, 2.0), (10.0, 8.0)]).unwrap(),
+            platform: rpo_model::Platform::homogeneous(3, 1.0, 1e-3, 1.0, 1e-4, 2).unwrap(),
+            period_bound: None,
+            latency_bound: None,
+        };
+        let input = format!("not json\n{}\n", serde_json::to_string(&request).unwrap());
+        let writer = RecordingWriter::default();
+        serve_lines(&service, input.as_bytes(), writer.clone()).unwrap();
+        service.shutdown();
+
+        let writes = writer.0.lock().unwrap().clone();
+        assert_eq!(writes.len(), 2, "one write per response");
+        for write in &writes {
+            assert_eq!(write.last(), Some(&b'\n'));
+            assert_eq!(write.iter().filter(|&&b| b == b'\n').count(), 1);
+            let line = std::str::from_utf8(write).unwrap();
+            serde_json::from_str::<ServeResponse>(line.trim_end()).unwrap();
         }
     }
 }

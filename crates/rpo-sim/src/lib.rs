@@ -13,7 +13,7 @@
 //! * [`pipeline`] — event-driven simulation of the *pipelined* execution of a
 //!   stream of data sets, measuring the achieved period and per-data-set
 //!   latencies;
-//! * [`monte_carlo`] — parallel Monte-Carlo estimation (Rayon) with seeded,
+//! * [`mod@monte_carlo`] — parallel Monte-Carlo estimation (Rayon) with seeded,
 //!   reproducible streams;
 //! * [`fault`] — mid-run fault injection: scripted/seeded [`FaultPlan`]s fire
 //!   platform deltas at chosen trial fractions and a caller-supplied repair

@@ -1,5 +1,5 @@
 //! Batched SoA mega-kernel equivalence suite: on hundreds of seeded random
-//! instance *batches*, the lockstep lane-major kernel must agree with the
+//! instance *batches*, the lane-major batch kernel must agree with the
 //! per-instance chunked kernel — same feasibility verdicts, reliabilities
 //! within `1e-12`, identical reconstructed mappings — across every bucket
 //! width (1, LANES−1, LANES, 3·LANES+1), and the shape-bucketed batch
@@ -10,8 +10,7 @@
 //! that reproduces it.
 
 use pipelined_rt::algorithms::{
-    reliability_dp_with_kernel, solve_batch_with_inner, BatchInner, BatchLane, BatchScratch,
-    DpKernel, LANES,
+    solve_batch, BatchLane, BatchScratch, DpScratch, OptimalMapping, SolveCtx, LANES,
 };
 use pipelined_rt::model::{IntervalOracle, Platform, TaskChain};
 use pipelined_rt::portfolio::{
@@ -20,6 +19,19 @@ use pipelined_rt::portfolio::{
 use pipelined_rt::workload::InstanceGenerator;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// The per-instance chunked kernel: Algorithm 1 (`None`) or Algorithm 2 on a
+/// fresh scratch.
+fn per_instance(
+    oracle: &IntervalOracle,
+    chain: &TaskChain,
+    platform: &Platform,
+    bound: Option<f64>,
+) -> Option<OptimalMapping> {
+    SolveCtx::new(chain, platform, oracle, &mut DpScratch::new())
+        .reliability_dp(bound)
+        .ok()
+}
 
 /// Number of random instance batches checked per property.
 const CASES: u64 = 200;
@@ -69,8 +81,8 @@ fn random_period_bound(rng: &mut ChaCha8Rng, chain: &TaskChain, platform: &Platf
     rng.gen_range(0.8 * floor..1.2 * ceiling)
 }
 
-/// The batched SoA kernel — both the lockstep and the register-blocked
-/// inner sweep — agrees with the per-instance chunked kernel on every lane
+/// The batched SoA kernel agrees with the per-instance chunked kernel on
+/// every lane
 /// of seeded same-shape batches of width 1, LANES−1, LANES, and 3·LANES+1
 /// (exercising full chunks, partial tail chunks, and the padded-lane
 /// masking), with a per-lane mix of unbounded (Algorithm 1) and
@@ -114,44 +126,41 @@ fn batched_kernel_matches_the_per_instance_chunked_kernel() {
                 })
                 .collect();
 
-            for inner in [BatchInner::Lockstep, BatchInner::Blocked] {
-                let batched = solve_batch_with_inner(&lanes, inner, &mut scratch);
-                assert_eq!(batched.len(), width);
-                for lane in 0..width {
-                    let reference = reliability_dp_with_kernel(
-                        &oracles[lane],
-                        &chains[lane],
-                        &platforms[lane],
-                        bounds[lane],
-                        DpKernel::Chunked,
-                    );
-                    match (&batched[lane], &reference) {
-                        (Some(a), Some(b)) => {
-                            assert!(
-                                (a.reliability - b.reliability).abs()
-                                    <= 1e-12 * a.reliability.abs().max(b.reliability.abs()),
-                                "lane {lane}/{width} ({inner:?}) diverged: batched {} vs \
-                             per-instance {} (bound {:?})",
-                                a.reliability,
-                                b.reliability,
-                                bounds[lane]
-                            );
-                            assert_eq!(
-                                a.mapping, b.mapping,
-                                "lane {lane}/{width} ({inner:?}) reconstructed a different \
-                             mapping (bound {:?})",
-                                bounds[lane]
-                            );
-                        }
-                        (None, None) => {}
-                        (a, b) => panic!(
-                            "lane {lane}/{width} ({inner:?}) feasibility mismatch (bound {:?}): \
-                         batched={} per-instance={}",
-                            bounds[lane],
-                            a.is_some(),
-                            b.is_some()
-                        ),
+            let batched = solve_batch(&lanes, &mut scratch);
+            assert_eq!(batched.len(), width);
+            for lane in 0..width {
+                let reference = per_instance(
+                    &oracles[lane],
+                    &chains[lane],
+                    &platforms[lane],
+                    bounds[lane],
+                );
+                match (&batched[lane], &reference) {
+                    (Some(a), Some(b)) => {
+                        assert!(
+                            (a.reliability - b.reliability).abs()
+                                <= 1e-12 * a.reliability.abs().max(b.reliability.abs()),
+                            "lane {lane}/{width} diverged: batched {} vs \
+                         per-instance {} (bound {:?})",
+                            a.reliability,
+                            b.reliability,
+                            bounds[lane]
+                        );
+                        assert_eq!(
+                            a.mapping, b.mapping,
+                            "lane {lane}/{width} reconstructed a different \
+                         mapping (bound {:?})",
+                            bounds[lane]
+                        );
                     }
+                    (None, None) => {}
+                    (a, b) => panic!(
+                        "lane {lane}/{width} feasibility mismatch (bound {:?}): \
+                     batched={} per-instance={}",
+                        bounds[lane],
+                        a.is_some(),
+                        b.is_some()
+                    ),
                 }
             }
         },
@@ -204,48 +213,45 @@ fn padded_mixed_length_batches_match_the_per_instance_chunked_kernel() {
                 })
                 .collect();
 
-            for inner in [BatchInner::Lockstep, BatchInner::Blocked] {
-                let batched = solve_batch_with_inner(&lanes, inner, &mut scratch);
-                assert_eq!(batched.len(), width);
-                for lane in 0..width {
-                    let reference = reliability_dp_with_kernel(
-                        &oracles[lane],
-                        &chains[lane],
-                        &platforms[lane],
-                        bounds[lane],
-                        DpKernel::Chunked,
-                    );
-                    match (&batched[lane], &reference) {
-                        (Some(a), Some(b)) => {
-                            assert_eq!(
-                                a.reliability.to_bits(),
-                                b.reliability.to_bits(),
-                                "lane {lane}/{width} n={} ({inner:?}) diverged: batched {} vs \
-                                 per-instance {} (bound {:?})",
-                                chains[lane].len(),
-                                a.reliability,
-                                b.reliability,
-                                bounds[lane]
-                            );
-                            assert_eq!(
-                                a.mapping,
-                                b.mapping,
-                                "lane {lane}/{width} n={} ({inner:?}) reconstructed a different \
-                                 mapping (bound {:?})",
-                                chains[lane].len(),
-                                bounds[lane]
-                            );
-                        }
-                        (None, None) => {}
-                        (a, b) => panic!(
-                            "lane {lane}/{width} n={} ({inner:?}) feasibility mismatch \
-                             (bound {:?}): batched={} per-instance={}",
+            let batched = solve_batch(&lanes, &mut scratch);
+            assert_eq!(batched.len(), width);
+            for lane in 0..width {
+                let reference = per_instance(
+                    &oracles[lane],
+                    &chains[lane],
+                    &platforms[lane],
+                    bounds[lane],
+                );
+                match (&batched[lane], &reference) {
+                    (Some(a), Some(b)) => {
+                        assert_eq!(
+                            a.reliability.to_bits(),
+                            b.reliability.to_bits(),
+                            "lane {lane}/{width} n={} diverged: batched {} vs \
+                             per-instance {} (bound {:?})",
                             chains[lane].len(),
-                            bounds[lane],
-                            a.is_some(),
-                            b.is_some()
-                        ),
+                            a.reliability,
+                            b.reliability,
+                            bounds[lane]
+                        );
+                        assert_eq!(
+                            a.mapping,
+                            b.mapping,
+                            "lane {lane}/{width} n={} reconstructed a different \
+                             mapping (bound {:?})",
+                            chains[lane].len(),
+                            bounds[lane]
+                        );
                     }
+                    (None, None) => {}
+                    (a, b) => panic!(
+                        "lane {lane}/{width} n={} feasibility mismatch \
+                         (bound {:?}): batched={} per-instance={}",
+                        chains[lane].len(),
+                        bounds[lane],
+                        a.is_some(),
+                        b.is_some()
+                    ),
                 }
             }
         },

@@ -15,9 +15,9 @@
 //! seed lands in the log).
 
 use pipelined_rt::algorithms::{
-    algo_het_lat_with_oracle, algo_het_with_oracle, exact, exhaustive_het_lat,
-    greedy_het_lat_with_oracle, het_dp_applicable, optimize_reliability_with_period_bound,
+    exact, exhaustive_het_lat, het_dp_applicable, optimize_reliability_with_period_bound,
     run_heuristic, AlgoError, DpScratch, HetLatMethod, HeuristicConfig, IntervalHeuristic,
+    SolveCtx,
 };
 use pipelined_rt::model::{
     IntervalOracle, Mapping, MappingEvaluation, Platform, PlatformBuilder, Processor, TaskChain,
@@ -88,6 +88,8 @@ fn algo_het_lat_matches_exhaustive_on_small_latency_bounded_instances() {
         let chain = random_chain(rng, 8);
         let platform = random_class_platform(rng, 6);
         let oracle = IntervalOracle::new(&chain, &platform);
+        let mut scratch = DpScratch::new();
+        let mut ctx = SolveCtx::new(&chain, &platform, &oracle, &mut scratch);
         assert!(het_dp_applicable(&oracle), "3 classes over ≤ 6 processors");
         let period = if rng.gen_bool(0.3) {
             None
@@ -97,7 +99,7 @@ fn algo_het_lat_matches_exhaustive_on_small_latency_bounded_instances() {
         // Latency slacks spanning infeasible (below the floor), tight, and
         // loose regimes.
         let latency = rng.gen_range(0.9..2.5) * oracle.latency_floor();
-        let dp = algo_het_lat_with_oracle(&oracle, &chain, &platform, period, latency);
+        let dp = ctx.algo_het_lat(period, latency);
         let brute = exhaustive_het_lat(&chain, &platform, period, latency);
         match (dp, brute) {
             (Ok(dp), Ok(brute)) => {
@@ -139,20 +141,10 @@ fn algo_het_lat_never_trails_greedy_on_paper_scale_instances() {
         let chain = &bounded.instance.chain;
         let platform = &bounded.instance.heterogeneous;
         let oracle = IntervalOracle::new(chain, platform);
-        let dp = algo_het_lat_with_oracle(
-            &oracle,
-            chain,
-            platform,
-            Some(bounded.period_bound),
-            bounded.latency_bound,
-        );
-        let greedy = greedy_het_lat_with_oracle(
-            &oracle,
-            chain,
-            platform,
-            Some(bounded.period_bound),
-            bounded.latency_bound,
-        );
+        let mut scratch = DpScratch::new();
+        let mut ctx = SolveCtx::new(chain, platform, &oracle, &mut scratch);
+        let dp = ctx.algo_het_lat(Some(bounded.period_bound), bounded.latency_bound);
+        let greedy = ctx.greedy_het_lat(Some(bounded.period_bound), bounded.latency_bound);
         match (&dp, &greedy) {
             (Ok(dp), Ok(greedy)) => {
                 assert!(
@@ -288,19 +280,18 @@ fn monte_carlo_agrees_with_eq9_for_every_returned_mapping() {
             }
             let platform = builder.build().unwrap();
             let oracle = IntervalOracle::new(&chain, &platform);
+            let mut scratch = DpScratch::new();
+            let mut ctx = SolveCtx::new(&chain, &platform, &oracle, &mut scratch);
             let floor = oracle.latency_floor();
 
             let mut mappings: Vec<(&'static str, Mapping)> = Vec::new();
-            if let Ok(sol) = algo_het_with_oracle(&oracle, &chain, &platform, None) {
+            if let Ok(sol) = ctx.algo_het(None) {
                 mappings.push(("algo_het", sol.mapping));
             }
-            if let Ok(sol) = algo_het_lat_with_oracle(&oracle, &chain, &platform, None, 1.5 * floor)
-            {
+            if let Ok(sol) = ctx.algo_het_lat(None, 1.5 * floor) {
                 mappings.push(("algo_het_lat", sol.mapping));
             }
-            if let Ok(sol) =
-                greedy_het_lat_with_oracle(&oracle, &chain, &platform, None, 2.0 * floor)
-            {
+            if let Ok(sol) = ctx.greedy_het_lat(None, 2.0 * floor) {
                 mappings.push(("greedy_het_lat", sol.mapping));
             }
             assert!(
@@ -349,21 +340,23 @@ fn solve_het_dp_lat(instance: &ProblemInstance) -> Vec<pipelined_rt::portfolio::
     let oracle = instance.build_oracle();
     let mut scratch = DpScratch::new();
     let mut ctx = SolveContext {
-        scratch: &mut scratch,
+        algo: SolveCtx::new(&instance.chain, &instance.platform, &oracle, &mut scratch),
         front: None,
     };
-    HetDpLatBackend.solve(instance, &oracle, &Budget::default(), &mut ctx)
+    HetDpLatBackend.solve(instance, &Budget::default(), &mut ctx)
 }
 
 #[test]
 fn latency_bound_below_the_floor_is_cleanly_infeasible_everywhere() {
     let (chain, platform) = edge_fixture();
     let oracle = IntervalOracle::new(&chain, &platform);
+    let mut scratch = DpScratch::new();
+    let mut ctx = SolveCtx::new(&chain, &platform, &oracle, &mut scratch);
     let below = 0.5 * oracle.latency_floor();
 
     // algo_het_lat: clean error, no panic.
     assert_eq!(
-        algo_het_lat_with_oracle(&oracle, &chain, &platform, None, below).unwrap_err(),
+        ctx.algo_het_lat(None, below).unwrap_err(),
         AlgoError::NoFeasibleMapping
     );
     // The Section 7 heuristics: clean error, no panic.
@@ -392,9 +385,11 @@ fn latency_bound_below_the_floor_is_cleanly_infeasible_everywhere() {
 fn latency_bound_exactly_at_the_floor_is_feasible() {
     let (chain, platform) = edge_fixture();
     let oracle = IntervalOracle::new(&chain, &platform);
+    let mut scratch = DpScratch::new();
+    let mut ctx = SolveCtx::new(&chain, &platform, &oracle, &mut scratch);
     let floor = oracle.latency_floor();
 
-    let sol = algo_het_lat_with_oracle(&oracle, &chain, &platform, None, floor).unwrap();
+    let sol = ctx.algo_het_lat(None, floor).unwrap();
     assert_eq!(sol.worst_case_latency, floor);
 
     let instance =
@@ -408,13 +403,15 @@ fn latency_bound_exactly_at_the_floor_is_feasible() {
 fn invalid_latency_bounds_are_rejected_across_the_stack() {
     let (chain, platform) = edge_fixture();
     let oracle = IntervalOracle::new(&chain, &platform);
+    let mut scratch = DpScratch::new();
+    let mut ctx = SolveCtx::new(&chain, &platform, &oracle, &mut scratch);
     for bad in [0.0, -3.0, f64::NAN] {
         assert_eq!(
-            algo_het_lat_with_oracle(&oracle, &chain, &platform, None, bad).unwrap_err(),
+            ctx.algo_het_lat(None, bad).unwrap_err(),
             AlgoError::InvalidBound("latency bound")
         );
         assert_eq!(
-            greedy_het_lat_with_oracle(&oracle, &chain, &platform, None, bad).unwrap_err(),
+            ctx.greedy_het_lat(None, bad).unwrap_err(),
             AlgoError::InvalidBound("latency bound")
         );
         assert_eq!(
@@ -440,7 +437,7 @@ fn invalid_latency_bounds_are_rejected_across_the_stack() {
     // An infinite latency bound is "no bound" for the portfolio (the
     // backend skips), but algo_het_lat demands a real one.
     assert_eq!(
-        algo_het_lat_with_oracle(&oracle, &chain, &platform, None, f64::INFINITY).unwrap_err(),
+        ctx.algo_het_lat(None, f64::INFINITY).unwrap_err(),
         AlgoError::InvalidBound("latency bound")
     );
 }

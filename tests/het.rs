@@ -9,8 +9,7 @@
 //! that reproduces it.
 
 use pipelined_rt::algorithms::{
-    algo_het, algo_het_with_oracle, class_dp_with_kernel, exhaustive_het, greedy_het_with_oracle,
-    het_dp_applicable, DpKernel, HetMethod,
+    algo_het, exhaustive_het, het_dp_applicable, reference, DpScratch, HetMethod, SolveCtx,
 };
 use pipelined_rt::model::{
     ClassAssignment, IntervalOracle, IntervalPartition, MappingEvaluation, Platform, Processor,
@@ -93,7 +92,7 @@ fn algo_het_matches_the_exhaustive_reference_on_small_instances() {
         } else {
             Some(period_bound(rng, &chain, &platform))
         };
-        let dp = algo_het_with_oracle(&oracle, &chain, &platform, bound);
+        let dp = SolveCtx::new(&chain, &platform, &oracle, &mut DpScratch::new()).algo_het(bound);
         let brute = exhaustive_het(&chain, &platform, bound);
         match (dp, brute) {
             (Ok(dp), Ok(brute)) => {
@@ -125,10 +124,12 @@ fn algo_het_is_never_below_greedy_and_respects_the_bound() {
         let chain = &instance.chain;
         let platform = &instance.heterogeneous;
         let oracle = IntervalOracle::new(chain, platform);
+        let mut scratch = DpScratch::new();
+        let ctx = SolveCtx::new(chain, platform, &oracle, &mut scratch);
         let mut rng = ChaCha8Rng::seed_from_u64(0x0C1A_5600 + index as u64);
         let bound = period_bound(&mut rng, chain, platform);
-        let greedy = greedy_het_with_oracle(&oracle, chain, platform, Some(bound));
-        let dp = algo_het_with_oracle(&oracle, chain, platform, Some(bound));
+        let greedy = ctx.greedy_het(Some(bound));
+        let dp = ctx.algo_het(Some(bound));
         match (&dp, &greedy) {
             (Ok(dp), Ok(greedy)) => {
                 assert!(
@@ -165,14 +166,16 @@ fn the_exact_dp_wins_strictly_on_some_instances() {
     let mut exact_solves = 0;
     for instance in generator.batch(30) {
         let oracle = IntervalOracle::new(&instance.chain, &instance.heterogeneous);
-        let bound = 0.7 * instance.chain.total_work() / instance.heterogeneous.max_speed();
-        let dp = algo_het(&instance.chain, &instance.heterogeneous, Some(bound));
-        let greedy = greedy_het_with_oracle(
-            &oracle,
+        let mut scratch = DpScratch::new();
+        let ctx = SolveCtx::new(
             &instance.chain,
             &instance.heterogeneous,
-            Some(bound),
+            &oracle,
+            &mut scratch,
         );
+        let bound = 0.7 * instance.chain.total_work() / instance.heterogeneous.max_speed();
+        let dp = algo_het(&instance.chain, &instance.heterogeneous, Some(bound));
+        let greedy = ctx.greedy_het(Some(bound));
         if let Ok(dp) = &dp {
             if dp.method == HetMethod::ClassDp {
                 exact_solves += 1;
@@ -209,31 +212,17 @@ fn chunked_class_dp_matches_the_scalar_kernel_mapping_for_mapping() {
             het_dp_applicable(&oracle),
             "≤ 3 classes over ≤ 8 processors"
         );
+        let mut scratch = DpScratch::new();
+        let ctx = SolveCtx::new(&chain, &platform, &oracle, &mut scratch);
         let bound = if rng.gen_bool(0.3) {
             None
         } else {
             Some(period_bound(rng, &chain, &platform))
         };
-        let greedy_incumbent = greedy_het_with_oracle(&oracle, &chain, &platform, bound)
-            .map(|g| g.reliability)
-            .unwrap_or(0.0);
+        let greedy_incumbent = ctx.greedy_het(bound).map(|g| g.reliability).unwrap_or(0.0);
         for incumbent in [0.0, greedy_incumbent] {
-            let scalar = class_dp_with_kernel(
-                &oracle,
-                &chain,
-                &platform,
-                bound,
-                incumbent,
-                DpKernel::Scalar,
-            );
-            let chunked = class_dp_with_kernel(
-                &oracle,
-                &chain,
-                &platform,
-                bound,
-                incumbent,
-                DpKernel::Chunked,
-            );
+            let scalar = reference::class_dp(&ctx, bound, incumbent);
+            let chunked = ctx.class_dp(bound, incumbent);
             match (scalar, chunked) {
                 (Some(scalar), Some(chunked)) => {
                     assert!(
@@ -264,27 +253,24 @@ fn chunked_class_dp_matches_the_scalar_kernel_mapping_for_mapping() {
     let generator = InstanceGenerator::paper_heterogeneous_classes(0x0C1A55);
     for (index, instance) in generator.batch(20).into_iter().enumerate() {
         let oracle = IntervalOracle::new(&instance.chain, &instance.heterogeneous);
+        let mut scratch = DpScratch::new();
+        let ctx = SolveCtx::new(
+            &instance.chain,
+            &instance.heterogeneous,
+            &oracle,
+            &mut scratch,
+        );
         let mut rng = ChaCha8Rng::seed_from_u64(0x0C1A_5700 + index as u64);
         let bound = Some(period_bound(
             &mut rng,
             &instance.chain,
             &instance.heterogeneous,
         ));
-        let incumbent =
-            greedy_het_with_oracle(&oracle, &instance.chain, &instance.heterogeneous, bound)
-                .map(|g| g.reliability)
-                .unwrap_or(0.0);
-        let run = |kernel| {
-            class_dp_with_kernel(
-                &oracle,
-                &instance.chain,
-                &instance.heterogeneous,
-                bound,
-                incumbent,
-                kernel,
-            )
-        };
-        let (scalar, chunked) = (run(DpKernel::Scalar), run(DpKernel::Chunked));
+        let incumbent = ctx.greedy_het(bound).map(|g| g.reliability).unwrap_or(0.0);
+        let (scalar, chunked) = (
+            reference::class_dp(&ctx, bound, incumbent),
+            ctx.class_dp(bound, incumbent),
+        );
         assert_eq!(
             scalar.as_ref().map(|s| &s.mapping),
             chunked.as_ref().map(|s| &s.mapping),

@@ -7,7 +7,7 @@
 //! generated from its own seed, and a failing case re-panics with the seed
 //! that reproduces it.
 
-use pipelined_rt::algorithms::{reliability_dp_with_kernel, DpKernel};
+use pipelined_rt::algorithms::{reference, DpScratch, SolveCtx};
 use pipelined_rt::model::{IntervalOracle, IntervalPartition, Mapping, Platform, TaskChain};
 use pipelined_rt::portfolio::{CandidateMapping, ParetoFront, StreamingFront};
 use rand::{Rng, SeedableRng};
@@ -107,10 +107,14 @@ fn chunked_kernel_matches_scalar_reference() {
             Some(random_period_bound(rng, &chain, &platform)),
         ];
         for bound in bounds {
-            let chunked =
-                reliability_dp_with_kernel(&oracle, &chain, &platform, bound, DpKernel::Chunked);
-            let scalar =
-                reliability_dp_with_kernel(&oracle, &chain, &platform, bound, DpKernel::Scalar);
+            // A fresh scratch per run on both sides.
+            let chunked = SolveCtx::new(&chain, &platform, &oracle, &mut DpScratch::new())
+                .reliability_dp(bound)
+                .ok();
+            let scalar = reference::reliability_dp(
+                &SolveCtx::new(&chain, &platform, &oracle, &mut DpScratch::new()),
+                bound,
+            );
             match (chunked, scalar) {
                 (Some(a), Some(b)) => {
                     assert!(
@@ -149,7 +153,7 @@ fn streaming_front_equals_batch_rebuilt_front() {
         let candidates: Vec<CandidateMapping> = (0..rng.gen_range(3usize..=12))
             .map(|_| {
                 let mapping = random_mapping(rng, &chain, &platform);
-                CandidateMapping::evaluate_with_oracle("stream-test", &oracle, mapping)
+                CandidateMapping::evaluate("stream-test", &oracle, mapping)
             })
             .collect();
 

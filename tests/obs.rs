@@ -215,16 +215,11 @@ fn het_lat_label_arenas_are_pooled_through_the_scratch() {
 
     let before = obs::global().snapshot();
     let mut scratch = pipelined_rt::algorithms::DpScratch::new();
+    let mut ctx = pipelined_rt::algorithms::SolveCtx::new(&chain, &platform, &oracle, &mut scratch);
     for _ in 0..3 {
-        let solution = pipelined_rt::algorithms::algo_het_lat_with_scratch(
-            &oracle,
-            &chain,
-            &platform,
-            Some(50.0),
-            150.0,
-            &mut scratch,
-        )
-        .expect("tri-criteria instance is solvable");
+        let solution = ctx
+            .algo_het_lat(Some(50.0), 150.0)
+            .expect("tri-criteria instance is solvable");
         assert!(solution.reliability > 0.0);
     }
     let delta = obs::global().snapshot().delta(&before);

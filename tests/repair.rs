@@ -6,17 +6,14 @@
 //! | `IntervalOracle::apply_delta` vs fresh oracle | every block-reliability query within 1e-12 relative (debug builds additionally assert **bit** identity inside `apply_delta`) |
 //! | `RepairSession::apply` vs cold exact solve | identical reliability on homogeneous platforms |
 //! | `RepairSession::apply` vs greedy | never less reliable on heterogeneous platforms; bounds exactly respected |
-//! | `repair_minimize_period_with_scratch` vs cold period optimizer | identical certified optimum |
+//! | `SolveCtx::repair_minimize_period` vs cold period optimizer | identical certified optimum |
 //! | `monte_carlo_with_repair` | seeded fault-injection demo: segments split, reliability recovers |
 //!
 //! Reuses the ChaCha8 harness style of `tests/differential.rs`: each case is
 //! generated from its own seed, and a failing case re-panics with the seed
 //! that reproduces it.
 
-use pipelined_rt::algorithms::{
-    greedy_het_with_oracle, minimize_period_with_reliability_bound_with_scratch,
-    optimize_reliability_homogeneous, repair_minimize_period_with_scratch, AlgoError, DpScratch,
-};
+use pipelined_rt::algorithms::{optimize_reliability_homogeneous, AlgoError, DpScratch, SolveCtx};
 use pipelined_rt::model::{
     IntervalOracle, Platform, PlatformBuilder, PlatformDelta, Processor, TaskChain,
 };
@@ -208,7 +205,13 @@ fn repairs_are_exact_or_at_least_greedy() {
             );
         } else {
             let oracle = IntervalOracle::new(session.chain(), session.platform());
-            let greedy = greedy_het_with_oracle(&oracle, session.chain(), session.platform(), None);
+            let greedy = SolveCtx::new(
+                session.chain(),
+                session.platform(),
+                &oracle,
+                &mut DpScratch::new(),
+            )
+            .greedy_het(None);
             if let Ok(greedy) = greedy {
                 assert!(
                     report.reliability >= greedy.reliability - 1e-12 * greedy.reliability,
@@ -297,13 +300,7 @@ fn warm_period_repair_matches_the_cold_optimizer() {
         let oracle = IntervalOracle::new(&chain, &platform);
         let bound = rng.gen_range(0.3..0.9);
         let mut scratch = DpScratch::new();
-        let cold = minimize_period_with_reliability_bound_with_scratch(
-            &oracle,
-            &chain,
-            &platform,
-            bound,
-            &mut scratch,
-        );
+        let cold = SolveCtx::new(&chain, &platform, &oracle, &mut scratch).minimize_period(bound);
         // Revise one task's work and re-minimize: cold from scratch vs warm
         // from the stale optimum.
         let delta = PlatformDelta::TaskWorkRevised {
@@ -312,22 +309,11 @@ fn warm_period_repair_matches_the_cold_optimizer() {
         };
         let (new_chain, _) = delta.apply(&chain, &platform).unwrap();
         let new_oracle = IntervalOracle::new(&new_chain, &platform);
-        let fresh = minimize_period_with_reliability_bound_with_scratch(
-            &new_oracle,
-            &new_chain,
-            &platform,
-            bound,
-            &mut DpScratch::new(),
-        );
+        let fresh = SolveCtx::new(&new_chain, &platform, &new_oracle, &mut DpScratch::new())
+            .minimize_period(bound);
         let prev_period = cold.as_ref().map(|c| c.period).unwrap_or(f64::INFINITY);
-        let warm = repair_minimize_period_with_scratch(
-            &new_oracle,
-            &new_chain,
-            &platform,
-            bound,
-            prev_period,
-            &mut scratch,
-        );
+        let warm = SolveCtx::new(&new_chain, &platform, &new_oracle, &mut scratch)
+            .repair_minimize_period(bound, prev_period);
         match (fresh, warm) {
             (Ok(fresh), Ok(warm)) => {
                 assert_eq!(

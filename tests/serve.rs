@@ -158,7 +158,7 @@ fn coalesced_duplicates_are_bit_identical() {
     );
     assert_eq!(a.mapping, b.mapping);
 
-    // A later identical request hits the tenant shard without a new solve.
+    // A later identical request hits the engine's cache without a new solve.
     let third = service.submit(ServeRequest {
         id: 1000,
         ..to_wire(&requests[0], None)
@@ -175,10 +175,42 @@ fn coalesced_duplicates_are_bit_identical() {
 }
 
 #[test]
+fn a_later_duplicate_from_another_tenant_is_answered_at_admission() {
+    let service = manual_service(16);
+    let requests: Vec<GeneratedRequest> = RequestSpec::serve_replay(300).stream(1).collect();
+    let original = to_wire(&requests[0], None);
+    let first = service.submit(original.clone());
+    assert!(service.process_one());
+    let a = first.wait();
+
+    // The same instance from a different tenant, after the first solve
+    // finished: one result cache serves every tenant, so it is answered at
+    // admission — never queued, never solved again.
+    let other_tenant = service.submit(ServeRequest {
+        id: 1001,
+        tenant: original.tenant + 1,
+        ..original
+    });
+    assert_eq!(service.queue_depth(), 0);
+    let b = other_tenant
+        .try_get()
+        .expect("answered at admission, before any processing");
+    assert!(b.cached);
+    assert_eq!(service.stats().cache_hits, 1);
+    assert_eq!(service.stats().solved, 1);
+    assert_eq!(
+        a.reliability.map(f64::to_bits),
+        b.reliability.map(f64::to_bits)
+    );
+    assert_eq!(a.mapping, b.mapping);
+    service.shutdown();
+}
+
+#[test]
 fn draining_service_rejects_new_requests_but_finishes_queued_work() {
     let service = manual_service(16);
-    // Distinct instances: a duplicate would be answered from the tenant
-    // shard before the draining check ever fires.
+    // Distinct instances: a duplicate would be answered from the engine's
+    // cache before the draining check ever fires.
     let spec = RequestSpec {
         duplicate_fraction: 0.0,
         ..RequestSpec::serve_replay(400)
@@ -331,8 +363,8 @@ fn loopback_replay_of_a_seeded_1k_request_stream() {
     );
 
     // Duplicate traffic never pays for a fresh solve: it is coalesced onto
-    // an in-flight solve, answered from a tenant shard, or absorbed by the
-    // engine's instance cache — the response says which.
+    // an in-flight solve or answered from the engine's instance cache — the
+    // response says which.
     let absorbed = responses
         .iter()
         .filter(|response| response.coalesced || response.cached)
