@@ -106,6 +106,11 @@ pub struct HetLatSolution {
     pub worst_case_latency: f64,
     /// Which strategy won.
     pub method: HetLatMethod,
+    /// Whether the exact label DP ran to completion (its label population
+    /// stayed within [`MAX_LAT_LABELS`]), so `reliability` is the proven
+    /// optimum — also when the greedy's mapping won by an ulp.
+    #[serde(default)]
+    pub label_dp_completed: bool,
     /// Exact reliability of the latency-aware greedy pipeline's own best
     /// mapping, when it found one (`algo_het_lat` always runs the greedy as
     /// fallback and pruner, so sweeps comparing DP vs greedy read both from
@@ -212,13 +217,14 @@ impl SolveCtx<'_> {
                     reliability: solution.reliability,
                     worst_case_latency,
                     method: HetLatMethod::Greedy,
+                    label_dp_completed: false,
                     greedy_reliability,
                 }
             });
         }
 
         let incumbent = greedy_reliability.unwrap_or(0.0);
-        let (dp, method) = match label_dp(
+        let (dp, method, label_dp_completed) = match label_dp(
             oracle,
             chain,
             platform,
@@ -227,11 +233,12 @@ impl SolveCtx<'_> {
             incumbent,
             &mut self.scratch.het_lat,
         ) {
-            LabelDpOutcome::Solved(solution) => (solution, HetLatMethod::LatDp),
+            LabelDpOutcome::Solved(solution) => (solution, HetLatMethod::LatDp, true),
             LabelDpOutcome::Overflow => (
                 lagrangian_sweep(oracle, chain, platform, period_bound, latency_bound)
                     .map(|solution| (solution, Vec::new())),
                 HetLatMethod::Lagrangian,
+                false,
             ),
         };
 
@@ -258,6 +265,7 @@ impl SolveCtx<'_> {
                 reliability,
                 worst_case_latency: evaluation.worst_case_latency,
                 method,
+                label_dp_completed,
                 greedy_reliability,
                 front,
             }

@@ -309,7 +309,7 @@ fn run_serve(obs: &ObsArgs) -> Result<String, String> {
     let stats = service.shutdown();
     eprintln!(
         "serve: {} admitted, {} coalesced, {} cache hits, {} shed, {} overloaded, \
-         {} rejected draining, {} solves",
+         {} rejected draining, {} solves, {} wasted solve micros",
         stats.admitted,
         stats.coalesced,
         stats.cache_hits,
@@ -317,6 +317,7 @@ fn run_serve(obs: &ObsArgs) -> Result<String, String> {
         stats.overloaded,
         stats.drained,
         stats.solved,
+        stats.wasted_solve_micros,
     );
     Ok(String::new())
 }

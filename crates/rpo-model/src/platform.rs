@@ -1,6 +1,6 @@
 //! Distributed platform model (Section 2.2 of the paper).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::{ModelError, Result};
 
@@ -29,7 +29,10 @@ impl Processor {
 
 /// The target distributed platform: `p` processors connected by homogeneous
 /// point-to-point links, with the bounded multi-port constraint `K`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserializing goes through [`Platform::new`], so an invalid platform is
+/// rejected on the wire.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Platform {
     processors: Vec<Processor>,
     /// Bandwidth `b` of every point-to-point link.
@@ -40,6 +43,25 @@ pub struct Platform {
     /// outgoing connections of a processor, and hence also the maximum number
     /// of replicas per interval.
     max_replication: usize,
+}
+
+impl Deserialize for Platform {
+    fn from_value(value: &Value) -> std::result::Result<Self, serde::Error> {
+        let entries = value
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("object", "Platform"))?;
+        let field = |name: &str| {
+            serde::__find(entries, name)
+                .ok_or_else(|| serde::Error::missing_field(name, "Platform"))
+        };
+        Platform::new(
+            Vec::from_value(field("processors")?)?,
+            f64::from_value(field("bandwidth")?)?,
+            f64::from_value(field("link_failure_rate")?)?,
+            usize::from_value(field("max_replication")?)?,
+        )
+        .map_err(|error| serde::Error::custom(format!("invalid Platform: {error}")))
+    }
 }
 
 impl Platform {
@@ -279,6 +301,23 @@ impl PlatformBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_goes_through_the_constructor() {
+        let platform = Platform::homogeneous(3, 1.0, 1e-3, 1.0, 1e-4, 2).unwrap();
+        let json = serde_json::to_string(&platform).unwrap();
+        assert_eq!(serde_json::from_str::<Platform>(&json).unwrap(), platform);
+        for bad in [
+            json.replace("\"speed\":1.0", "\"speed\":-1.0"),
+            json.replace("\"bandwidth\":1.0", "\"bandwidth\":0.0"),
+            json.replace("\"max_replication\":2", "\"max_replication\":0"),
+            json.replace("\"processors\":[", "\"processors\":[],\"x\":["),
+        ] {
+            assert_ne!(bad, json);
+            let error = serde_json::from_str::<Platform>(&bad).unwrap_err();
+            assert!(error.to_string().contains("invalid Platform"), "{error}");
+        }
+    }
 
     fn het_platform() -> Platform {
         PlatformBuilder::new()

@@ -1,6 +1,6 @@
 //! Tasks and linear task chains (Section 2.1 of the paper).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::{ModelError, Result};
 
@@ -34,11 +34,33 @@ impl Task {
 /// Task indices are 0-based throughout the code base (the paper uses 1-based
 /// indices). The chain stores a prefix-sum array of the works so that the
 /// total work of any interval of consecutive tasks is obtained in `O(1)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The JSON form is `{"tasks": [...]}` only. Deserializing goes through
+/// [`TaskChain::new`], so an invalid chain is rejected and the prefix sums
+/// are always recomputed: a `work_prefix` field is ignored if present.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskChain {
     tasks: Vec<Task>,
     /// `work_prefix[i]` is the total work of tasks `0..i` (so `work_prefix[0] = 0`).
     work_prefix: Vec<f64>,
+}
+
+impl Serialize for TaskChain {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("tasks".to_string(), self.tasks.to_value())])
+    }
+}
+
+impl Deserialize for TaskChain {
+    fn from_value(value: &Value) -> std::result::Result<Self, serde::Error> {
+        let entries = value
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("object", "TaskChain"))?;
+        let tasks = serde::__find(entries, "tasks")
+            .ok_or_else(|| serde::Error::missing_field("tasks", "TaskChain"))?;
+        TaskChain::new(Vec::from_value(tasks)?)
+            .map_err(|error| serde::Error::custom(format!("invalid TaskChain: {error}")))
+    }
 }
 
 impl TaskChain {
@@ -225,6 +247,26 @@ mod tests {
         assert_eq!(c.max_boundary_output(), 4.0);
         let single = TaskChain::from_pairs(&[(5.0, 7.0)]).unwrap();
         assert_eq!(single.max_boundary_output(), 0.0);
+    }
+
+    #[test]
+    fn json_carries_only_the_tasks_and_recomputes_the_prefix() {
+        let json = serde_json::to_string(&chain()).unwrap();
+        assert!(!json.contains("work_prefix"));
+        assert_eq!(serde_json::from_str::<TaskChain>(&json).unwrap(), chain());
+        let forged = json.replace("]}", "],\"work_prefix\":[0.0,1.0,2.0,3.0,4.0]}");
+        assert!(forged.contains("work_prefix"));
+        let parsed: TaskChain = serde_json::from_str(&forged).unwrap();
+        assert_eq!(parsed.work_prefix(), chain().work_prefix());
+    }
+
+    #[test]
+    fn json_goes_through_the_constructor() {
+        let negative = r#"{"tasks": [{"work": -3.0, "output_size": 1.0}]}"#;
+        let error = serde_json::from_str::<TaskChain>(negative).unwrap_err();
+        assert!(error.to_string().contains("invalid TaskChain"), "{error}");
+        assert!(serde_json::from_str::<TaskChain>(r#"{"tasks": []}"#).is_err());
+        assert!(serde_json::from_str::<TaskChain>(r#"{"work_prefix": [0.0]}"#).is_err());
     }
 
     #[test]

@@ -199,7 +199,8 @@ impl CandidateMapping {
 /// Per-solve state the engine lends to each backend run: the algorithms'
 /// [`SolveCtx`] (the instance, its shared oracle and a pooled DP scratch),
 /// plus what that context does not carry — a live view of the solve's
-/// streaming Pareto front for mid-solve dominance probes.
+/// streaming Pareto front for mid-solve dominance probes, and the
+/// backend's certificate for the answer it returns.
 pub struct SolveContext<'a> {
     /// The algorithms' context. Its oracle is the one `Arc<IntervalOracle>`
     /// the engine resolves per solve and shares with every backend; its
@@ -214,9 +215,27 @@ pub struct SolveContext<'a> {
     /// are already strictly dominated — dominance only ever tightens as the
     /// front grows, so an early abandon can never change the final front.
     pub front: Option<&'a StreamingFront>,
+    /// Set by a backend that is the exact algorithm for the instance (see
+    /// [`SolverBackend::is_exact_for`]) when its returned candidates contain
+    /// the optimum of the problem it solved — the instance itself, or a
+    /// relaxation of it that drops some bound. The engine counts the answer
+    /// certified when this is set *and* the most reliable re-scored
+    /// candidate meets every bound of the instance: the optimum of a
+    /// relaxation that is feasible for the real problem is optimal for it.
+    pub certified: bool,
 }
 
-impl SolveContext<'_> {
+impl<'a> SolveContext<'a> {
+    /// A context over `algo`, streaming into `front` when racing, with no
+    /// certificate yet.
+    pub fn new(algo: SolveCtx<'a>, front: Option<&'a StreamingFront>) -> Self {
+        SolveContext {
+            algo,
+            front,
+            certified: false,
+        }
+    }
+
     /// Whether `candidate` is already strictly dominated by the front being
     /// streamed into (always `false` when no front is attached).
     pub fn is_dominated(&self, candidate: &CandidateMapping) -> bool {
@@ -245,6 +264,18 @@ pub trait SolverBackend: Send + Sync {
 
     /// Whether this backend can run on `instance` under `budget`.
     fn applicability(&self, instance: &ProblemInstance, budget: &Budget) -> Applicability;
+
+    /// Whether this backend is *the* exact algorithm for `instance`, which
+    /// it is applicable to: the one the engine runs alone first when
+    /// serving ([`PortfolioEngine::solve_until`]), racing the others only
+    /// when the backend does not certify its answer through
+    /// [`SolveContext::certified`]. Defaults to `false`; at most one backend
+    /// of a portfolio should claim an instance (the engine takes the first).
+    ///
+    /// [`PortfolioEngine::solve_until`]: crate::PortfolioEngine::solve_until
+    fn is_exact_for(&self, _instance: &ProblemInstance) -> bool {
+        false
+    }
 
     /// Runs the backend and returns its candidate mappings (possibly empty).
     /// Candidates need not satisfy the instance bounds; the engine filters.

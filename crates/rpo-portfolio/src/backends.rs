@@ -1,17 +1,23 @@
 //! Adapters exposing every `rpo-algorithms` solver as a [`SolverBackend`].
 //!
-//! | backend | wraps | applicability |
-//! |---|---|---|
-//! | `Algo-1` | [`SolveCtx::reliability_dp`](rpo_algorithms::SolveCtx::reliability_dp) without a bound | homogeneous |
-//! | `Algo-2` | [`SolveCtx::reliability_dp`](rpo_algorithms::SolveCtx::reliability_dp) under the period bound | homogeneous, finite period bound |
-//! | `Period-Opt` | [`SolveCtx::minimize_period`](rpo_algorithms::SolveCtx::minimize_period) | homogeneous |
-//! | `Heur-L` | Heur-L partitions + Algo-Alloc / Section 7.2 allocation | always |
-//! | `Heur-P` | Heur-P partitions + Algo-Alloc / Section 7.2 allocation | always |
-//! | `Het-Dp` | [`SolveCtx::algo_het`](rpo_algorithms::SolveCtx::algo_het) (exact class-level DP) | heterogeneous, few classes |
-//! | `Het-Dp-Lat` | [`SolveCtx::algo_het_lat`](rpo_algorithms::SolveCtx::algo_het_lat) (latency-aware label DP + Lagrangian fallback) | heterogeneous, few classes, finite latency bound |
-//! | `Het-Sweep` | Section 7.2 allocation swept over tightened period targets | heterogeneous |
-//! | `ILP` | [`SolveCtx::optimal_by_ilp`](rpo_algorithms::SolveCtx::optimal_by_ilp) | homogeneous, small instances |
-//! | `Exhaustive` | [`SolveCtx::optimal_homogeneous`](rpo_algorithms::SolveCtx::optimal_homogeneous) | homogeneous, bounded size |
+//! | backend | wraps | applicability | certifies when |
+//! |---|---|---|---|
+//! | `Algo-1` | [`SolveCtx::reliability_dp`](rpo_algorithms::SolveCtx::reliability_dp) without a bound | homogeneous | exact for no period bound; certified when its optimum meets the latency bound |
+//! | `Algo-2` | [`SolveCtx::reliability_dp`](rpo_algorithms::SolveCtx::reliability_dp) under the period bound | homogeneous, finite period bound | exact; certified when its optimum meets the latency bound |
+//! | `Period-Opt` | [`SolveCtx::minimize_period`](rpo_algorithms::SolveCtx::minimize_period) | homogeneous | never |
+//! | `Heur-L` | Heur-L partitions + Algo-Alloc / Section 7.2 allocation | always | never |
+//! | `Heur-P` | Heur-P partitions + Algo-Alloc / Section 7.2 allocation | always | never |
+//! | `Het-Dp` | [`SolveCtx::algo_het`](rpo_algorithms::SolveCtx::algo_het) (exact class-level DP) | heterogeneous, few classes | exact for no latency bound; certified when its optimum is feasible |
+//! | `Het-Dp-Lat` | [`SolveCtx::algo_het_lat`](rpo_algorithms::SolveCtx::algo_het_lat) (latency-aware label DP + Lagrangian fallback) | heterogeneous, few classes, finite latency bound | exact; certified when the label DP completes |
+//! | `Het-Sweep` | Section 7.2 allocation swept over tightened period targets | heterogeneous | never |
+//! | `ILP` | [`SolveCtx::optimal_by_ilp`](rpo_algorithms::SolveCtx::optimal_by_ilp) | homogeneous, small instances | never (raced) |
+//! | `Exhaustive` | [`SolveCtx::optimal_homogeneous`](rpo_algorithms::SolveCtx::optimal_homogeneous) | homogeneous, bounded size | never (raced) |
+//!
+//! "Exact" is [`SolverBackend::is_exact_for`]: the backend the serving
+//! entry point ([`PortfolioEngine::solve_until`](crate::PortfolioEngine::solve_until))
+//! runs alone first. "Certified" is [`SolveContext::certified`] plus the
+//! engine's bound check on the most reliable re-scored candidate; a
+//! certified answer skips the race, any other escalates to it.
 //!
 //! Every adapter runs against the one algorithms context the engine lends
 //! per backend run ([`SolveContext::algo`]): all of them read their interval
@@ -71,12 +77,20 @@ impl SolverBackend for Algo1Backend {
         }
     }
 
+    /// Algorithm 1 is optimal on a homogeneous platform without a period
+    /// bound (the paper's Theorem); a latency bound is dropped, and checked
+    /// by the engine.
+    fn is_exact_for(&self, instance: &ProblemInstance) -> bool {
+        !instance.period_bound.is_finite()
+    }
+
     fn solve(
         &self,
         _instance: &ProblemInstance,
         _budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
+        ctx.certified = true;
         ctx.algo
             .reliability_dp(None)
             .map(|solution| vec![ctx.candidate(self.name(), solution.mapping)])
@@ -102,12 +116,20 @@ impl SolverBackend for Algo2Backend {
         }
     }
 
+    /// Algorithm 2 is optimal on a homogeneous platform under a period
+    /// bound (the paper's Theorem); a latency bound is dropped, and checked
+    /// by the engine.
+    fn is_exact_for(&self, _instance: &ProblemInstance) -> bool {
+        true
+    }
+
     fn solve(
         &self,
         instance: &ProblemInstance,
         _budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
+        ctx.certified = true;
         ctx.algo
             .reliability_dp(Some(instance.period_bound))
             .map(|solution| vec![ctx.candidate(self.name(), solution.mapping)])
@@ -230,13 +252,20 @@ impl SolverBackend for HetDpBackend {
         }
     }
 
+    /// The class DP is exact within the class caps when no latency bound
+    /// applies; a latency bound is Het-Dp-Lat's.
+    fn is_exact_for(&self, instance: &ProblemInstance) -> bool {
+        !instance.latency_bound.is_finite()
+    }
+
     fn solve(
         &self,
         instance: &ProblemInstance,
         _budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        debug_assert!(het_dp_applicable(ctx.algo.oracle()));
+        ctx.certified = het_dp_applicable(ctx.algo.oracle());
+        debug_assert!(ctx.certified);
         let period_bound = instance
             .period_bound
             .is_finite()
@@ -275,6 +304,12 @@ impl SolverBackend for HetDpLatBackend {
         }
     }
 
+    /// The label DP is exact within the class caps under a latency bound —
+    /// when it completes, which the backend reports per solve.
+    fn is_exact_for(&self, _instance: &ProblemInstance) -> bool {
+        true
+    }
+
     fn solve(
         &self,
         instance: &ProblemInstance,
@@ -289,6 +324,7 @@ impl SolverBackend for HetDpLatBackend {
         ctx.algo
             .algo_het_lat(period_bound, instance.latency_bound)
             .map(|solution| {
+                ctx.certified = solution.label_dp_completed;
                 // Surface which strategy produced the mapping (label DP,
                 // Lagrangian fallback, or greedy) in the trace — the
                 // once-silent fallback this backend is probed for.
@@ -480,10 +516,10 @@ mod tests {
         budget: &Budget,
     ) -> Vec<CandidateMapping> {
         let mut scratch = DpScratch::new();
-        let mut ctx = SolveContext {
-            algo: SolveCtx::new(&instance.chain, &instance.platform, oracle, &mut scratch),
-            front: None,
-        };
+        let mut ctx = SolveContext::new(
+            SolveCtx::new(&instance.chain, &instance.platform, oracle, &mut scratch),
+            None,
+        );
         backend.solve(instance, budget, &mut ctx)
     }
 

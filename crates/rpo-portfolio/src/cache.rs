@@ -172,8 +172,22 @@ impl<T> LruCore<T> {
 /// Keys are the 64-bit [`ProblemInstance::canonical_key`]; on lookup the
 /// stored instance is compared structurally, so a hash collision degrades to
 /// a miss instead of returning a wrong front.
+///
+/// Each entry remembers whether it holds a *raced* front (every applicable
+/// backend ran) or a *dispatched* one (an exact backend certified the
+/// optimum alone, so the front holds only its candidates). [`Self::get`]
+/// answers with either kind; [`Self::get_raced`] — the lookup of callers
+/// that want the full front — only with a raced one.
 pub struct InstanceCache {
-    core: LruCore<(ProblemInstance, Arc<ParetoFront>)>,
+    core: LruCore<CachedFront>,
+}
+
+/// One stored front: the instance it solves (to rule out hash collisions),
+/// the front, and whether it was raced.
+struct CachedFront {
+    instance: ProblemInstance,
+    front: Arc<ParetoFront>,
+    raced: bool,
 }
 
 impl InstanceCache {
@@ -184,19 +198,56 @@ impl InstanceCache {
         }
     }
 
-    /// Looks up the front for `instance`, refreshing its recency on a hit.
-    /// The returned `Arc` shares the stored front — no deep copy.
+    /// Looks up the front for `instance`, raced or dispatched, refreshing
+    /// its recency on a hit. The returned `Arc` shares the stored front — no
+    /// deep copy.
     pub fn get(&mut self, instance: &ProblemInstance) -> Option<Arc<ParetoFront>> {
-        self.core
-            .get(instance.canonical_key(), |(stored, _)| stored == instance)
-            .map(|(_, front)| Arc::clone(front))
+        self.lookup(instance, false)
     }
 
-    /// Stores the solved front for `instance`, evicting the least recently
+    /// [`Self::get`] restricted to raced fronts: a dispatched entry counts
+    /// as a miss.
+    pub fn get_raced(&mut self, instance: &ProblemInstance) -> Option<Arc<ParetoFront>> {
+        self.lookup(instance, true)
+    }
+
+    fn lookup(&mut self, instance: &ProblemInstance, raced_only: bool) -> Option<Arc<ParetoFront>> {
+        self.core
+            .get(instance.canonical_key(), |stored| {
+                &stored.instance == instance && (stored.raced || !raced_only)
+            })
+            .map(|stored| Arc::clone(&stored.front))
+    }
+
+    /// Stores the raced front for `instance`, evicting the least recently
     /// used entry if the cache is full.
     pub fn put(&mut self, instance: &ProblemInstance, front: Arc<ParetoFront>) {
-        self.core
-            .put(instance.canonical_key(), (instance.clone(), front));
+        self.store(instance, front, true);
+    }
+
+    /// Stores a dispatched front for `instance`. A raced front already
+    /// stored for it is kept: it answers every caller.
+    pub fn put_dispatched(&mut self, instance: &ProblemInstance, front: Arc<ParetoFront>) {
+        let key = instance.canonical_key();
+        let raced = self
+            .core
+            .entries
+            .get(&key)
+            .is_some_and(|entry| entry.payload.raced && &entry.payload.instance == instance);
+        if !raced {
+            self.store(instance, front, false);
+        }
+    }
+
+    fn store(&mut self, instance: &ProblemInstance, front: Arc<ParetoFront>, raced: bool) {
+        self.core.put(
+            instance.canonical_key(),
+            CachedFront {
+                instance: instance.clone(),
+                front,
+                raced,
+            },
+        );
     }
 
     /// Current number of cached fronts.
@@ -346,6 +397,24 @@ mod tests {
         cache.put(&a, Arc::clone(&front));
         let hit = cache.get(&a).unwrap();
         assert!(Arc::ptr_eq(&front, &hit));
+    }
+
+    #[test]
+    fn raced_lookups_never_see_a_dispatched_front() {
+        let mut cache = InstanceCache::new(4);
+        let a = instance(1.0);
+        let dispatched = empty_front();
+        cache.put_dispatched(&a, Arc::clone(&dispatched));
+        assert!(cache.get_raced(&a).is_none());
+        assert!(Arc::ptr_eq(&cache.get(&a).unwrap(), &dispatched));
+        // A raced front replaces the dispatched one and answers both lookups.
+        let raced = empty_front();
+        cache.put(&a, Arc::clone(&raced));
+        assert!(Arc::ptr_eq(&cache.get_raced(&a).unwrap(), &raced));
+        // A later dispatched front never downgrades a raced entry.
+        cache.put_dispatched(&a, empty_front());
+        assert!(Arc::ptr_eq(&cache.get(&a).unwrap(), &raced));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

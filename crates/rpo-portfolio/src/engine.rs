@@ -1,8 +1,30 @@
-//! The parallel portfolio engine: races every applicable backend on an
+//! The parallel portfolio engine: races the applicable backends on an
 //! instance across worker threads and aggregates their candidates into a
 //! Pareto front.
+//!
+//! # Two contracts
+//!
+//! * **Race callers get the full front.** [`PortfolioEngine::solve`],
+//!   [`PortfolioEngine::solve_with_threads`] and
+//!   [`PortfolioEngine::solve_with_precomputed`] race every applicable
+//!   backend and merge all their feasible candidates. The batch driver, the
+//!   experiments and every test that wants a Pareto front use them; the
+//!   race is also the auditor of the serving path.
+//! * **Serving gets the certified best point.** [`PortfolioEngine::solve_until`]
+//!   dispatches by theorem: the one backend that is the exact algorithm for
+//!   the instance ([`SolverBackend::is_exact_for`] — Algorithm 1 or 2 on a
+//!   homogeneous platform, `Het-Dp` or `Het-Dp-Lat` within the class caps)
+//!   runs alone first, and the others race only when it cannot certify its
+//!   answer. A certified outcome's best-reliability point has the race's
+//!   reliability bit for bit, but its front holds only the dispatched
+//!   backend's candidates.
+//!
+//! Both share one [`InstanceCache`]; its entries remember whether they hold
+//! a raced front, and a race caller is never answered from a dispatched one.
 
-use crate::backend::{Applicability, Budget, ProblemInstance, SolveContext, SolverBackend};
+use crate::backend::{
+    Applicability, Budget, CandidateMapping, ProblemInstance, SolveContext, SolverBackend,
+};
 use crate::backends::default_backends;
 use crate::cache::{CacheStats, InstanceCache, OracleCache};
 use crate::pareto::{ParetoFront, StreamingFront};
@@ -26,6 +48,14 @@ pub enum RunStatus {
     /// the batched SoA mega-kernel), so the backend was not dispatched; its
     /// candidates were re-certified and merged like a completed run's.
     Precomputed,
+}
+
+impl RunStatus {
+    /// The status of a backend left out of a serving solve because the
+    /// exact backend certified the optimum (see
+    /// [`PortfolioEngine::solve_until`]).
+    pub const SKIPPED_CERTIFIED: RunStatus =
+        RunStatus::Skipped("an exact backend certified the optimum");
 }
 
 /// Per-backend outcome of one portfolio solve.
@@ -68,12 +98,6 @@ impl PortfolioOutcome {
         !self.front.is_empty()
     }
 }
-
-/// What one worker records for one backend: its slot index, final status,
-/// bound-feasible candidate count, raw candidate count, and wall-clock
-/// micros. The candidates themselves are not carried here — they stream
-/// into the shared [`StreamingFront`] the moment the backend finishes.
-type WorkerResult = (usize, RunStatus, usize, usize, u64);
 
 /// A pool of [`DpScratch`] arenas shared across every solve of an engine:
 /// the DP-based backends of a batch reuse allocations across *instances*
@@ -266,8 +290,9 @@ impl PortfolioEngine {
         self.scratch.stats()
     }
 
-    /// Solves one instance: answers from the cache when possible, otherwise
-    /// races all applicable backends in parallel and caches the result.
+    /// Solves one instance: answers from the cache when it holds a raced
+    /// front, otherwise races all applicable backends in parallel and
+    /// caches the result.
     pub fn solve(&self, instance: &ProblemInstance) -> PortfolioOutcome {
         self.solve_with_threads(instance, self.threads)
     }
@@ -283,7 +308,7 @@ impl PortfolioEngine {
         instance: &ProblemInstance,
         threads: usize,
     ) -> PortfolioOutcome {
-        self.solve_inner(instance, threads, Vec::new(), None)
+        self.solve_inner(instance, threads, Vec::new(), None, Mode::Race)
     }
 
     /// [`PortfolioEngine::solve_with_threads`] with externally precomputed
@@ -304,25 +329,45 @@ impl PortfolioEngine {
         &self,
         instance: &ProblemInstance,
         threads: usize,
-        precomputed: Vec<(&'static str, Vec<crate::backend::CandidateMapping>)>,
+        precomputed: Vec<(&'static str, Vec<CandidateMapping>)>,
     ) -> PortfolioOutcome {
-        self.solve_inner(instance, threads, precomputed, None)
+        self.solve_inner(instance, threads, precomputed, None, Mode::Race)
     }
 
-    /// [`PortfolioEngine::solve_with_threads`] with an explicit wall-clock
-    /// deadline for this call, tightening (never loosening) the budget's
-    /// time limit. Backends not yet dispatched when the deadline passes are
-    /// marked [`RunStatus::DeadlineExpired`] and the outcome's
-    /// [`PortfolioOutcome::deadline_expired`] flag is set; the (partial)
-    /// front is returned but not cached. This is the serving layer's
-    /// entry point: a request's residual deadline maps directly onto it.
+    /// The serving layer's entry point: solves `instance` for its
+    /// best-reliability mapping by theorem, under an explicit wall-clock
+    /// deadline (a request's residual deadline maps directly onto it).
+    ///
+    /// It runs in two stages:
+    ///
+    /// 1. **Exact stage.** The first applicable backend that
+    ///    [`SolverBackend::is_exact_for`] the instance runs alone. Its answer
+    ///    is *certified* when the backend vouches for it
+    ///    ([`SolveContext::certified`]) and its most reliable re-scored
+    ///    candidate meets every bound. Every other applicable backend then
+    ///    reports [`RunStatus::SKIPPED_CERTIFIED`].
+    /// 2. **Escalation.** Otherwise — no exact backend applies, its answer
+    ///    breaks a bound it ignored, its label DP overflowed, or it found
+    ///    nothing — the remaining applicable backends race exactly as in
+    ///    [`PortfolioEngine::solve_with_threads`], into the same front.
+    ///
+    /// The contract: the front's best-reliability point is the race's, bit
+    /// for bit; the front itself (and so a serve response's `front_points`)
+    /// is only the dispatched backends' front. Callers wanting the full
+    /// front use [`PortfolioEngine::solve`].
+    ///
+    /// Answers from the instance cache, raced or dispatched. The deadline
+    /// tightens (never loosens) the budget's time limit: backends not yet
+    /// dispatched when it passes are marked [`RunStatus::DeadlineExpired`]
+    /// and the outcome's [`PortfolioOutcome::deadline_expired`] flag is set;
+    /// the (partial) front is returned but not cached.
     pub fn solve_until(
         &self,
         instance: &ProblemInstance,
         threads: usize,
         deadline: Option<Instant>,
     ) -> PortfolioOutcome {
-        self.solve_inner(instance, threads, Vec::new(), deadline)
+        self.solve_inner(instance, threads, Vec::new(), deadline, Mode::Dispatch)
     }
 
     /// Resolves the instance's shared interval-metrics oracle through the
@@ -349,9 +394,9 @@ impl PortfolioEngine {
     }
 
     /// The front a completed solve of an identical instance left in the
-    /// instance cache, if any — a lookup only, never a solve. Counts as one
-    /// hit or miss in [`Self::cache_stats`]. This is the serving layer's
-    /// admission fast path.
+    /// instance cache, raced or dispatched, if any — a lookup only, never a
+    /// solve. Counts as one hit or miss in [`Self::cache_stats`]. This is the
+    /// serving layer's admission fast path.
     pub fn cached(&self, instance: &ProblemInstance) -> Option<Arc<ParetoFront>> {
         self.cache
             .lock()
@@ -363,10 +408,18 @@ impl PortfolioEngine {
         &self,
         instance: &ProblemInstance,
         threads: usize,
-        precomputed: Vec<(&'static str, Vec<crate::backend::CandidateMapping>)>,
+        precomputed: Vec<(&'static str, Vec<CandidateMapping>)>,
         deadline_override: Option<Instant>,
+        mode: Mode,
     ) -> PortfolioOutcome {
-        if let Some(front) = self.cached(instance) {
+        let cached = {
+            let mut cache = self.cache.lock().expect("cache lock poisoned");
+            match mode {
+                Mode::Race => cache.get_raced(instance),
+                Mode::Dispatch => cache.get(instance),
+            }
+        };
+        if let Some(front) = cached {
             return PortfolioOutcome {
                 front,
                 runs: Vec::new(),
@@ -424,106 +477,214 @@ impl PortfolioEngine {
         // oracle instead of rebuilding the Eq. 5–9 precomputation.
         let oracle = self.oracle_for(instance);
 
-        // Race the runnable backends: worker threads pull indices from a
-        // shared queue, so a slow backend never blocks the others. Feasible
-        // candidates stream into the shared front the moment each backend
-        // finishes (ParetoFront::insert is insertion-order independent, so
-        // the front still never depends on thread scheduling).
-        let queue = AtomicUsize::new(0);
-        let expired = AtomicBool::new(false);
-        let streaming = StreamingFront::new();
+        // Feasible candidates stream into the shared front the moment each
+        // backend finishes (ParetoFront::insert is insertion-order
+        // independent, so the front never depends on thread scheduling or on
+        // whether an exact stage ran first).
+        let solve = SolveState {
+            engine: self,
+            instance,
+            oracle: &oracle,
+            deadline,
+            streaming: StreamingFront::new(),
+            expired: AtomicBool::new(false),
+        };
 
         // Seed the front with the precomputed results, through the same
         // re-certify → bound-filter → merge pipeline a live backend's
         // candidates take.
-        for (name, mut candidates) in precomputed {
-            let total = candidates.len();
-            for candidate in &mut candidates {
-                candidate.evaluation = oracle.evaluate(&candidate.mapping);
-            }
-            candidates.retain(|c| instance.admits(&c.evaluation));
-            let feasible = candidates.len();
-            if let Some(index) = self.backends.iter().position(|b| b.name() == name) {
+        for (name, candidates) in precomputed {
+            let index = self.backends.iter().position(|b| b.name() == name);
+            let (total, feasible, _) = solve.merge(index, candidates, false);
+            if let Some(index) = index {
                 runs[index].candidates = total;
                 runs[index].feasible = feasible;
-                self.backend_obs[index].feasible.add(feasible as u64);
-            }
-            for candidate in candidates {
-                streaming.insert(candidate);
             }
         }
-        let results: Mutex<Vec<WorkerResult>> = Mutex::new(Vec::with_capacity(runnable.len()));
-        let workers = threads.max(1).min(runnable.len().max(1));
+
+        // Dispatch by theorem: the backend that is the exact algorithm for
+        // this instance runs alone first; the others race only when it does
+        // not certify its answer.
+        let exact = match mode {
+            Mode::Race => None,
+            Mode::Dispatch => runnable
+                .iter()
+                .copied()
+                .find(|&i| self.backends[i].is_exact_for(instance)),
+        };
+        let (results, raced) = match exact {
+            Some(exact) => {
+                let mut results = solve.run(&[exact], 1);
+                let certified = results.iter().any(|result| result.certified);
+                if certified {
+                    rpo_obs::counter!("engine.dispatch.certified").inc();
+                    for &index in &runnable {
+                        if index != exact {
+                            runs[index].status = RunStatus::SKIPPED_CERTIFIED;
+                        }
+                    }
+                } else {
+                    rpo_obs::counter!("engine.dispatch.escalated").inc();
+                    let rest: Vec<usize> =
+                        runnable.iter().copied().filter(|&i| i != exact).collect();
+                    results.extend(solve.run(&rest, threads));
+                }
+                (results, !certified)
+            }
+            None => (solve.run(&runnable, threads), true),
+        };
+
+        for result in results {
+            let run = &mut runs[result.index];
+            run.status = result.status;
+            run.feasible = result.feasible;
+            run.candidates = result.candidates;
+            run.micros = result.micros;
+        }
+
+        let deadline_expired = solve.expired.load(Ordering::Acquire)
+            || runs
+                .iter()
+                .any(|run| run.status == RunStatus::DeadlineExpired);
+        let front = Arc::new(solve.streaming.into_front());
+        if deadline_expired {
+            // A deadline-expired front is partial: caching it would poison
+            // later unconstrained solves (and coalesced duplicate requests in
+            // the serving layer) with whatever subset of backends happened to
+            // finish in time.
+            rpo_obs::counter!("engine.deadline_expired").inc();
+        } else {
+            let mut cache = self.cache.lock().expect("cache lock poisoned");
+            if raced {
+                cache.put(instance, Arc::clone(&front));
+            } else {
+                cache.put_dispatched(instance, Arc::clone(&front));
+            }
+        }
+        PortfolioOutcome {
+            front,
+            runs,
+            from_cache: false,
+            deadline_expired,
+        }
+    }
+}
+
+/// Whether a solve races every applicable backend or dispatches to the
+/// exact one first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Race every applicable backend; the caller wants the full front.
+    Race,
+    /// Run the exact backend alone first; race only if it cannot certify.
+    Dispatch,
+}
+
+/// What one worker records for one backend run. The candidates themselves
+/// are not carried here — they stream into the shared [`StreamingFront`]
+/// the moment the backend finishes.
+struct WorkerResult {
+    index: usize,
+    status: RunStatus,
+    feasible: usize,
+    candidates: usize,
+    micros: u64,
+    /// The backend certified its answer and its most reliable re-scored
+    /// candidate meets every bound.
+    certified: bool,
+}
+
+/// The state one solve shares across its stages (the exact stage and the
+/// race): the instance, its oracle, the deadline, the streaming front every
+/// backend merges into, and the latched deadline expiry.
+struct SolveState<'a> {
+    engine: &'a PortfolioEngine,
+    instance: &'a ProblemInstance,
+    oracle: &'a Arc<rpo_model::IntervalOracle>,
+    deadline: Option<Instant>,
+    streaming: StreamingFront,
+    expired: AtomicBool,
+}
+
+impl SolveState<'_> {
+    /// Re-certifies `candidates` through the shared oracle *before* the
+    /// bound filter, so feasibility and front dominance judge one consistent
+    /// evaluation (a backend's own evaluation could differ by an ulp around
+    /// a bound), then merges the feasible ones into the front. Returns the
+    /// raw and feasible counts, and whether a most reliable candidate is
+    /// feasible — with `vouched`, the backend's certificate, that makes the
+    /// answer certified.
+    fn merge(
+        &self,
+        index: Option<usize>,
+        mut candidates: Vec<CandidateMapping>,
+        vouched: bool,
+    ) -> (usize, usize, bool) {
+        let total = candidates.len();
+        let mut best = f64::NEG_INFINITY;
+        for candidate in &mut candidates {
+            candidate.evaluation = self.oracle.evaluate(&candidate.mapping);
+            best = best.max(candidate.evaluation.reliability);
+        }
+        candidates.retain(|c| self.instance.admits(&c.evaluation));
+        let feasible = candidates.len();
+        let certified = vouched && candidates.iter().any(|c| c.evaluation.reliability == best);
+        if let Some(index) = index {
+            self.engine.backend_obs[index].feasible.add(feasible as u64);
+        }
+        for candidate in candidates {
+            self.streaming.insert(candidate);
+        }
+        (total, feasible, certified)
+    }
+
+    /// Races the backends at `slots` on up to `threads` workers: worker
+    /// threads pull slots from a shared queue, so a slow backend never
+    /// blocks the others. One worker runs inline on the calling thread.
+    fn run(&self, slots: &[usize], threads: usize) -> Vec<WorkerResult> {
+        let engine = self.engine;
+        let queue = AtomicUsize::new(0);
+        let results: Mutex<Vec<WorkerResult>> = Mutex::new(Vec::with_capacity(slots.len()));
+        let workers = threads.max(1).min(slots.len().max(1));
 
         let worker = || {
             // One pooled DP scratch per worker, reused across every backend
             // this worker runs, and returned to the pool (reset) at the end.
-            let mut scratch = self.scratch.acquire();
+            let mut scratch = engine.scratch.acquire();
             loop {
                 // Deadline check *before* dequeuing the next slot: when the
                 // budget expires mid-backend, the worker returning from that
                 // backend latches the expiry here, so every undispatched slot
                 // — including ones other workers are about to pull — is shed
                 // promptly and reported instead of silently starting late.
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    expired.store(true, Ordering::Release);
+                if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                    self.expired.store(true, Ordering::Release);
                 }
                 let slot = queue.fetch_add(1, Ordering::Relaxed);
-                let Some(&index) = runnable.get(slot) else {
+                let Some(&index) = slots.get(slot) else {
                     break;
                 };
-                let backend = &self.backends[index];
-
-                let outcome = if expired.load(Ordering::Acquire)
-                    || deadline.is_some_and(|d| Instant::now() >= d)
+                let result = if self.expired.load(Ordering::Acquire)
+                    || self.deadline.is_some_and(|d| Instant::now() >= d)
                 {
-                    expired.store(true, Ordering::Release);
-                    (RunStatus::DeadlineExpired, 0, 0, 0)
+                    self.expired.store(true, Ordering::Release);
+                    WorkerResult {
+                        index,
+                        status: RunStatus::DeadlineExpired,
+                        feasible: 0,
+                        candidates: 0,
+                        micros: 0,
+                        certified: false,
+                    }
                 } else {
-                    let backend_span = rpo_obs::recorder().span_fields("backend.solve", || {
-                        vec![("backend".to_string(), backend.name().into())]
-                    });
-                    let backend_start = Instant::now();
-                    let mut ctx = SolveContext {
-                        algo: SolveCtx::new(
-                            &instance.chain,
-                            &instance.platform,
-                            &oracle,
-                            &mut scratch,
-                        ),
-                        front: Some(&streaming),
-                    };
-                    let mut candidates = backend.solve(instance, &self.budget, &mut ctx);
-                    let elapsed = backend_start.elapsed();
-                    drop(backend_span);
-                    self.backend_obs[index].solve.record(elapsed);
-                    let micros = elapsed.as_micros() as u64;
-                    let total = candidates.len();
-                    // Re-certify through the shared oracle *before* the
-                    // bound filter, so feasibility and front dominance judge
-                    // one consistent evaluation (a backend's own evaluation
-                    // could differ by an ulp around a bound).
-                    for candidate in &mut candidates {
-                        candidate.evaluation = oracle.evaluate(&candidate.mapping);
-                    }
-                    candidates.retain(|c| instance.admits(&c.evaluation));
-                    let feasible = candidates.len();
-                    self.backend_obs[index].feasible.add(feasible as u64);
-                    for candidate in candidates {
-                        streaming.insert(candidate);
-                    }
-                    (RunStatus::Completed, feasible, total, micros)
+                    self.run_one(index, &mut scratch)
                 };
-                let (run_status, feasible, total, micros) = outcome;
-                results
-                    .lock()
-                    .expect("result lock poisoned")
-                    .push((index, run_status, feasible, total, micros));
+                results.lock().expect("result lock poisoned").push(result);
             }
-            self.scratch.release(scratch);
+            engine.scratch.release(scratch);
         };
         if workers <= 1 {
-            // Single-worker solves run inline on the calling thread: a batch
+            // Single-worker stages run inline on the calling thread: a batch
             // driver racing many instances across its own workers must not
             // pay a thread spawn per backend of every solve.
             worker();
@@ -534,38 +695,39 @@ impl PortfolioEngine {
                 }
             });
         }
+        results.into_inner().expect("result lock poisoned")
+    }
 
-        for (index, status, feasible, total, micros) in
-            results.into_inner().expect("result lock poisoned")
-        {
-            runs[index].status = status;
-            runs[index].feasible = feasible;
-            runs[index].candidates = total;
-            runs[index].micros = micros;
-        }
-
-        let deadline_expired = expired.load(Ordering::Acquire)
-            || runs
-                .iter()
-                .any(|run| run.status == RunStatus::DeadlineExpired);
-        let front = Arc::new(streaming.into_front());
-        if deadline_expired {
-            // A deadline-expired front is partial: caching it would poison
-            // later unconstrained solves (and coalesced duplicate requests in
-            // the serving layer) with whatever subset of backends happened to
-            // finish in time.
-            rpo_obs::counter!("engine.deadline_expired").inc();
-        } else {
-            self.cache
-                .lock()
-                .expect("cache lock poisoned")
-                .put(instance, Arc::clone(&front));
-        }
-        PortfolioOutcome {
-            front,
-            runs,
-            from_cache: false,
-            deadline_expired,
+    /// Runs the backend at `index` and merges its candidates.
+    fn run_one(&self, index: usize, scratch: &mut DpScratch) -> WorkerResult {
+        let engine = self.engine;
+        let backend = &engine.backends[index];
+        let backend_span = rpo_obs::recorder().span_fields("backend.solve", || {
+            vec![("backend".to_string(), backend.name().into())]
+        });
+        let backend_start = Instant::now();
+        let mut ctx = SolveContext::new(
+            SolveCtx::new(
+                &self.instance.chain,
+                &self.instance.platform,
+                self.oracle,
+                scratch,
+            ),
+            Some(&self.streaming),
+        );
+        let candidates = backend.solve(self.instance, &engine.budget, &mut ctx);
+        let vouched = ctx.certified;
+        let elapsed = backend_start.elapsed();
+        drop(backend_span);
+        engine.backend_obs[index].solve.record(elapsed);
+        let (total, feasible, certified) = self.merge(Some(index), candidates, vouched);
+        WorkerResult {
+            index,
+            status: RunStatus::Completed,
+            feasible,
+            candidates: total,
+            micros: elapsed.as_micros() as u64,
+            certified,
         }
     }
 }
@@ -681,6 +843,87 @@ mod tests {
         let b = engine.solve(&tighter);
         assert!(a.is_feasible() && b.is_feasible());
         assert_eq!(engine.oracle_cache_stats().hits, 0);
+    }
+
+    fn best_bits(outcome: &PortfolioOutcome) -> Option<u64> {
+        outcome
+            .front
+            .best_reliability()
+            .map(|best| best.evaluation.reliability.to_bits())
+    }
+
+    #[test]
+    fn a_certified_serving_solve_runs_only_the_exact_backend() {
+        let engine = PortfolioEngine::default().with_threads(1);
+        let served = engine.solve_until(&instance(), 1, None);
+        let completed: Vec<&str> = served
+            .runs
+            .iter()
+            .filter(|run| run.status == RunStatus::Completed)
+            .map(|run| run.backend)
+            .collect();
+        assert_eq!(completed, ["Algo-2"]);
+        assert!(served
+            .runs
+            .iter()
+            .any(|run| run.status == RunStatus::SKIPPED_CERTIFIED));
+        let raced = PortfolioEngine::default().solve(&instance());
+        assert_eq!(best_bits(&served), best_bits(&raced));
+    }
+
+    #[test]
+    fn an_uncertified_exact_answer_escalates_to_the_race() {
+        // Algorithm 1 ignores the latency bound; one just below its optimum's
+        // latency voids the certificate, so every backend races.
+        let mut tight = instance();
+        tight.period_bound = f64::INFINITY;
+        tight.latency_bound = f64::INFINITY;
+        let optimum = PortfolioEngine::default().solve_until(&tight, 1, None);
+        let optimum = optimum.front.best_reliability().unwrap().evaluation;
+        tight.latency_bound = optimum.worst_case_latency * (1.0 - 1e-9);
+        let served = PortfolioEngine::default().solve_until(&tight, 1, None);
+        let raced = PortfolioEngine::default().solve(&tight);
+        assert!(!served
+            .runs
+            .iter()
+            .any(|run| run.status == RunStatus::SKIPPED_CERTIFIED));
+        let completed = |outcome: &PortfolioOutcome| {
+            outcome
+                .runs
+                .iter()
+                .filter(|run| run.status == RunStatus::Completed)
+                .count()
+        };
+        assert_eq!(completed(&served), completed(&raced));
+        assert_eq!(best_bits(&served), best_bits(&raced));
+    }
+
+    #[test]
+    fn race_callers_are_never_answered_from_a_dispatched_entry() {
+        let engine = PortfolioEngine::default().with_threads(1);
+        let served = engine.solve_until(&instance(), 1, None);
+        assert!(!served.from_cache);
+        let raced = engine.solve(&instance());
+        assert!(
+            !raced.from_cache,
+            "a dispatched front must not answer a race"
+        );
+        assert!(
+            raced
+                .runs
+                .iter()
+                .filter(|run| run.status == RunStatus::Completed)
+                .count()
+                >= 5
+        );
+
+        // The reverse order: a raced front answers the serving path.
+        let engine = PortfolioEngine::default().with_threads(1);
+        let raced = engine.solve(&instance());
+        let served = engine.solve_until(&instance(), 1, None);
+        assert!(served.from_cache);
+        assert!(Arc::ptr_eq(&raced.front, &served.front));
+        assert!(engine.cached(&instance()).is_some());
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //!   re-certified through the instance's shared oracle;
 //! * [`PortfolioEngine`] ([`engine`]) — the parallel race itself: worker
 //!   threads pull every applicable backend from a shared queue under a
-//!   wall-clock budget;
+//!   wall-clock budget — and, for serving, dispatch by theorem
+//!   ([`PortfolioEngine::solve_until`]): the paper's exact algorithm for the
+//!   instance runs alone first, and the race runs only when it cannot
+//!   certify its answer;
 //! * [`InstanceCache`] ([`cache`]) — an LRU keyed by the canonical hash of
 //!   `(chain, platform, bounds)`, so repeated solves are O(1) — and the
 //!   chain-keyed [`OracleCache`] that lets near-duplicate instances (same

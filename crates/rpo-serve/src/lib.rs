@@ -7,6 +7,15 @@
 //! ([`wire::TcpServer`]), with the admission-control policy a serving system
 //! actually needs:
 //!
+//! * **Dispatch by theorem** — each solve goes through
+//!   [`PortfolioEngine::solve_until`]: the exact algorithm for the request
+//!   runs alone, and the other backends race only when it cannot certify
+//!   the best-reliability answer. Responses carry that answer; their
+//!   `front_points` counts the dispatched backends' front only.
+//! * **Validated input** — chains and platforms deserialize through their
+//!   validating constructors (derived fields such as the work prefix sums
+//!   are recomputed, never read), and the parser caps JSON nesting, so no
+//!   line can crash the process or buy a wrong `ok`.
 //! * **Bounded ingress + backpressure** — the queue between the protocol
 //!   frontend and the solver workers holds at most
 //!   [`ServeConfig::queue_capacity`] distinct solves; requests arriving
@@ -34,11 +43,12 @@
 //!
 //! The service is instrumented through `rpo-obs`: `serve.queue_wait` and
 //! `serve.latency` histograms, and `serve.{admitted, shed, coalesced,
-//! overloaded}` counters — the `BENCH_serve.json` gate replays a seeded
+//! overloaded, wasted_solve_micros}` counters — the `BENCH_serve.json` gate replays a seeded
 //! duplicate-heavy request stream against these.
 //!
 //! [`InstanceCache`]: rpo_portfolio::InstanceCache
 //! [`PortfolioEngine::cached`]: rpo_portfolio::PortfolioEngine::cached
+//! [`PortfolioEngine::solve_until`]: rpo_portfolio::PortfolioEngine::solve_until
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

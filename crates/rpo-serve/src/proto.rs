@@ -104,7 +104,9 @@ pub struct ServeResponse {
     pub worst_case_latency: Option<f64>,
     /// The mapping itself (interval boundaries + processor allocation).
     pub mapping: Option<Mapping>,
-    /// Size of the full Pareto front the solve produced.
+    /// Size of the Pareto front the solve produced: the dispatched
+    /// backends' front (only the exact backend's when it certified the
+    /// answer), not the full race's.
     #[serde(default)]
     pub front_points: usize,
     /// Whether this response was coalesced onto another request's solve.
@@ -115,10 +117,12 @@ pub struct ServeResponse {
     #[serde(default)]
     pub cached: bool,
     /// Time the request spent queued before its solve started, in µs
-    /// (0 for immediate rejections and cache hits).
+    /// (0 for immediate rejections and cache hits; kept on a response shed
+    /// at delivery).
     #[serde(default)]
     pub queue_wait_micros: u64,
-    /// Wall-clock of the solve that produced this response, in µs.
+    /// Wall-clock of the solve that produced this response, in µs — also
+    /// on a response shed at delivery, whose solve finished too late.
     #[serde(default)]
     pub solve_micros: u64,
     /// Human-readable detail for rejection statuses.

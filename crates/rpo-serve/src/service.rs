@@ -58,6 +58,9 @@ pub struct ServeStats {
     pub drained: u64,
     /// Solves actually executed by workers.
     pub solved: u64,
+    /// Microseconds spent on solves whose every waiter was shed at delivery
+    /// (the answer came too late for anyone).
+    pub wasted_solve_micros: u64,
 }
 
 /// How a response leaves the service: a callback invoked exactly once, from
@@ -102,6 +105,7 @@ struct Core {
     overloaded: AtomicU64,
     drained: AtomicU64,
     solved: AtomicU64,
+    wasted_solve_micros: AtomicU64,
     /// Live queue depth mirror for lock-free inspection.
     depth: AtomicUsize,
 }
@@ -152,6 +156,7 @@ impl SolverService {
             overloaded: AtomicU64::new(0),
             drained: AtomicU64::new(0),
             solved: AtomicU64::new(0),
+            wasted_solve_micros: AtomicU64::new(0),
             depth: AtomicUsize::new(0),
         });
         let workers = (0..config.workers)
@@ -240,6 +245,7 @@ impl Core {
             overloaded: self.overloaded.load(Ordering::Relaxed),
             drained: self.drained.load(Ordering::Relaxed),
             solved: self.solved.load(Ordering::Relaxed),
+            wasted_solve_micros: self.wasted_solve_micros.load(Ordering::Relaxed),
         }
     }
 
@@ -527,10 +533,17 @@ fn process_next(core: &Core) -> bool {
 
     // Delivery-time deadline check: a response is never handed out past its
     // waiter's deadline — late results are converted to sheds, structurally
-    // guaranteeing "zero responses delivered past their deadline".
+    // guaranteeing "zero responses delivered past their deadline". A shed
+    // here still reports the time its request waited and was solved for.
     let finished = Instant::now();
+    let late = |waiter: &Waiter| waiter.deadline.is_some_and(|d| finished >= d);
+    if waiters.iter().all(late) {
+        core.wasted_solve_micros
+            .fetch_add(solve_micros, Ordering::Relaxed);
+        rpo_obs::counter!("serve.wasted_solve_micros").add(solve_micros);
+    }
     for waiter in waiters {
-        let response = if waiter.deadline.is_some_and(|d| finished >= d) {
+        let mut response = if late(&waiter) {
             core.shed.fetch_add(1, Ordering::Relaxed);
             rpo_obs::counter!("serve.shed").inc();
             shed_response(waiter.id)
@@ -541,10 +554,10 @@ fn process_next(core: &Core) -> bool {
             // dequeue).
             let mut response = respond_from_front(waiter.id, &outcome.front, outcome.from_cache);
             response.coalesced = waiter.coalesced;
-            response.queue_wait_micros = queue_wait.as_micros() as u64;
-            response.solve_micros = solve_micros;
             response
         };
+        response.queue_wait_micros = queue_wait.as_micros() as u64;
+        response.solve_micros = solve_micros;
         rpo_obs::histogram!("serve.latency").record(waiter.submitted.elapsed());
         (waiter.respond)(response);
     }

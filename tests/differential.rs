@@ -8,6 +8,7 @@
 //! | `algo_het_lat` vs `greedy_het_lat` | never less reliable, same-or-better feasibility | paper-scale 3-class, latency-bounded |
 //! | `algo2` vs `ILP` | identical reliability and feasibility | small homogeneous, period-bounded |
 //! | analytic Eq. 9 vs Monte-Carlo (`rpo-sim`) | within 3σ of the binomial estimate | every returned mapping |
+//! | serving dispatch (`solve_until`) vs the full race (`solve`) | bit-identical best reliability, same feasibility | every dispatch plan branch |
 //!
 //! Reuses the ChaCha8 harness style of `tests/properties.rs`: each case is
 //! generated from its own seed, and a failing case re-panics with the seed
@@ -22,8 +23,10 @@ use pipelined_rt::algorithms::{
 use pipelined_rt::model::{
     IntervalOracle, Mapping, MappingEvaluation, Platform, PlatformBuilder, Processor, TaskChain,
 };
-use pipelined_rt::portfolio::SolverBackend;
-use pipelined_rt::portfolio::{backends::HetDpLatBackend, Budget, ProblemInstance, SolveContext};
+use pipelined_rt::portfolio::{
+    backends::HetDpLatBackend, Budget, PortfolioEngine, PortfolioOutcome, ProblemInstance,
+    RunStatus, SolveContext, SolverBackend,
+};
 use pipelined_rt::sim::{monte_carlo, MonteCarloConfig};
 use pipelined_rt::workload::InstanceGenerator;
 use rand::{Rng, SeedableRng};
@@ -339,10 +342,10 @@ fn edge_fixture() -> (TaskChain, Platform) {
 fn solve_het_dp_lat(instance: &ProblemInstance) -> Vec<pipelined_rt::portfolio::CandidateMapping> {
     let oracle = instance.build_oracle();
     let mut scratch = DpScratch::new();
-    let mut ctx = SolveContext {
-        algo: SolveCtx::new(&instance.chain, &instance.platform, &oracle, &mut scratch),
-        front: None,
-    };
+    let mut ctx = SolveContext::new(
+        SolveCtx::new(&instance.chain, &instance.platform, &oracle, &mut scratch),
+        None,
+    );
     HetDpLatBackend.solve(instance, &Budget::default(), &mut ctx)
 }
 
@@ -440,4 +443,187 @@ fn invalid_latency_bounds_are_rejected_across_the_stack() {
         ctx.algo_het_lat(None, f64::INFINITY).unwrap_err(),
         AlgoError::InvalidBound("latency bound")
     );
+}
+
+/// The branches of the serving dispatch plan the audit below covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Branch {
+    /// Homogeneous, no bounds: Algorithm 1, always certified.
+    HomUnbounded,
+    /// Homogeneous, period bound only: Algorithm 2.
+    HomPeriod,
+    /// Homogeneous, latency bound only: Algorithm 1 as a relaxation.
+    HomLatency,
+    /// Homogeneous, both bounds: Algorithm 2 as a relaxation.
+    HomBoth,
+    /// Homogeneous, latency within 5% of the floor: the relaxed optimum
+    /// breaks it, so escalation must run.
+    HomTightLatency,
+    /// Tiny homogeneous instances, where the ILP and the exhaustive
+    /// enumeration join the race.
+    HomTiny,
+    /// Three processor classes, no latency bound: `Het-Dp`.
+    HetClasses,
+    /// Three processor classes, latency bound: `Het-Dp-Lat`.
+    HetClassesLatency,
+    /// The paper's ten-class platform, beyond the class caps: no exact
+    /// stage, the race as before.
+    HetBeyondCaps,
+}
+
+/// A random homogeneous platform of up to `max_processors` processors.
+fn random_homogeneous_platform(rng: &mut ChaCha8Rng, max_processors: usize) -> Platform {
+    Platform::homogeneous(
+        rng.gen_range(2usize..=max_processors),
+        rng.gen_range(1.0..4.0),
+        10f64.powf(rng.gen_range(-6.0..-3.0)),
+        rng.gen_range(0.5..4.0),
+        10f64.powf(rng.gen_range(-7.0..-4.0)),
+        rng.gen_range(1usize..=3),
+    )
+    .unwrap()
+}
+
+/// One seeded instance of `branch`.
+fn audit_instance(rng: &mut ChaCha8Rng, branch: Branch) -> ProblemInstance {
+    let (chain, platform) = match branch {
+        Branch::HomTiny => (random_chain(rng, 8), random_homogeneous_platform(rng, 5)),
+        Branch::HetClasses | Branch::HetClassesLatency => {
+            let generated = InstanceGenerator::paper_heterogeneous_classes(rng.gen()).instance(0);
+            (generated.chain, generated.heterogeneous)
+        }
+        Branch::HetBeyondCaps => {
+            let generated = InstanceGenerator::paper_heterogeneous(rng.gen()).instance(0);
+            (generated.chain, generated.heterogeneous)
+        }
+        _ => (random_chain(rng, 20), random_homogeneous_platform(rng, 10)),
+    };
+    let floor = IntervalOracle::new(&chain, &platform).latency_floor();
+    // Period bounds from below the largest task (infeasible) to loose on a
+    // homogeneous platform; around the whole chain on the fastest processor
+    // on a heterogeneous one, whose slow processors need slack.
+    let period = if platform.is_homogeneous() {
+        rng.gen_range(0.8..3.0) * chain.max_task_work() / platform.max_speed()
+    } else {
+        rng.gen_range(0.5..2.0) * floor
+    };
+    let latency = rng.gen_range(1.0..2.5) * floor;
+    let mut sometimes = |bound: f64| {
+        if rng.gen_bool(0.5) {
+            bound
+        } else {
+            f64::INFINITY
+        }
+    };
+    let (period, latency) = match branch {
+        Branch::HomUnbounded | Branch::HetClasses => (f64::INFINITY, f64::INFINITY),
+        Branch::HomPeriod => (period, f64::INFINITY),
+        Branch::HomLatency => (f64::INFINITY, latency),
+        Branch::HomTightLatency => (sometimes(period), rng.gen_range(1.0..1.05) * floor),
+        Branch::HomBoth | Branch::HetClassesLatency => (period, latency),
+        Branch::HomTiny | Branch::HetBeyondCaps => (sometimes(period), sometimes(latency)),
+    };
+    ProblemInstance::new(chain, platform, period, latency).unwrap()
+}
+
+fn best_bits(outcome: &PortfolioOutcome) -> Option<u64> {
+    outcome
+        .front
+        .best_reliability()
+        .map(|best| best.evaluation.reliability.to_bits())
+}
+
+fn completed(outcome: &PortfolioOutcome) -> Vec<&'static str> {
+    outcome
+        .runs
+        .iter()
+        .filter(|run| run.status == RunStatus::Completed)
+        .map(|run| run.backend)
+        .collect()
+}
+
+#[test]
+fn dispatch_matches_the_race_on_every_plan_branch() {
+    let branches = [
+        Branch::HomUnbounded,
+        Branch::HomPeriod,
+        Branch::HomLatency,
+        Branch::HomBoth,
+        Branch::HomTightLatency,
+        Branch::HomTiny,
+        Branch::HetClasses,
+        Branch::HetClassesLatency,
+        Branch::HetBeyondCaps,
+    ];
+    for (offset, branch) in branches.into_iter().enumerate() {
+        let (mut certified, mut escalated, mut feasible, mut rescued) = (0, 0, 0, 0);
+        let mut raced_backends = Vec::new();
+        for_random_cases(
+            &format!("dispatch == race on {branch:?}"),
+            0xD1FF_5000 + 0x100 * offset as u64,
+            |rng| {
+                let instance = audit_instance(rng, branch);
+                let race = PortfolioEngine::default().with_threads(1).solve(&instance);
+                let served = PortfolioEngine::default()
+                    .with_threads(1)
+                    .solve_until(&instance, 1, None);
+                assert!(!race.from_cache && !served.from_cache);
+                assert!(!race.deadline_expired && !served.deadline_expired);
+                assert_eq!(
+                    best_bits(&served),
+                    best_bits(&race),
+                    "{branch:?}: dispatch and race disagree on the best reliability"
+                );
+                assert_eq!(served.is_feasible(), race.is_feasible());
+                feasible += usize::from(race.is_feasible());
+                raced_backends.extend(completed(&race));
+                if served
+                    .runs
+                    .iter()
+                    .any(|run| run.status == RunStatus::SKIPPED_CERTIFIED)
+                {
+                    // A certified solve ran the exact backend alone.
+                    certified += 1;
+                    assert_eq!(completed(&served).len(), 1, "{:?}", served.runs);
+                    assert!(served.is_feasible());
+                } else {
+                    // Escalation (or no exact stage) is the race, front for
+                    // front.
+                    escalated += 1;
+                    rescued += usize::from(served.is_feasible());
+                    assert_eq!(completed(&served), completed(&race));
+                    let points = |outcome: &PortfolioOutcome| -> Vec<(u64, u64, u64, u64)> {
+                        outcome
+                            .front
+                            .points()
+                            .iter()
+                            .map(|p| {
+                                (
+                                    p.evaluation.reliability.to_bits(),
+                                    p.evaluation.worst_case_period.to_bits(),
+                                    p.evaluation.worst_case_latency.to_bits(),
+                                    p.fingerprint(),
+                                )
+                            })
+                            .collect()
+                    };
+                    assert_eq!(points(&served), points(&race));
+                }
+            },
+        );
+        eprintln!(
+            "{branch:?}: {certified} certified, {escalated} escalated ({rescued} of them \
+             feasible), {feasible} feasible of {CASES}"
+        );
+        // Each branch takes the path it exists to cover.
+        match branch {
+            Branch::HomUnbounded | Branch::HetClasses => assert_eq!(certified, CASES as usize),
+            Branch::HomTightLatency => assert!(rescued > 0, "no escalation found an answer"),
+            Branch::HetBeyondCaps => assert_eq!(certified, 0),
+            _ => assert!(certified > 0),
+        }
+        if branch == Branch::HomTiny {
+            assert!(raced_backends.contains(&"ILP") && raced_backends.contains(&"Exhaustive"));
+        }
+    }
 }

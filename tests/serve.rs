@@ -1,8 +1,10 @@
 //! The serving-layer contract: bounded-queue backpressure, deadline
 //! shedding (never a stale solve), bit-identical duplicate coalescing, the
-//! engine's deadline accounting underneath it all, and a 1k-request
-//! loopback replay over real TCP.
+//! engine's deadline accounting underneath it all, a 1k-request loopback
+//! replay over real TCP, and the wire's refusal of invalid or hostile
+//! input.
 
+use pipelined_rt::model::{MappingEvaluation, Platform, TaskChain};
 use pipelined_rt::portfolio::{
     default_backends, Budget, PortfolioEngine, ProblemInstance, RunStatus,
 };
@@ -428,3 +430,149 @@ fn stdio_style_serve_lines_round_trip() {
         .count();
     assert_eq!(invalid, 1);
 }
+
+/// Runs `input` through [`serve_lines`] on a one-worker service and returns
+/// the response lines, parsed.
+fn serve_text(input: &str) -> Vec<ServeResponse> {
+    #[derive(Clone)]
+    struct SharedSink(Arc<std::sync::Mutex<Vec<u8>>>);
+    impl Write for SharedSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let service = SolverService::start(
+        Arc::new(PortfolioEngine::default().with_threads(1)),
+        ServeConfig {
+            workers: 1,
+            default_deadline: None,
+            ..ServeConfig::default()
+        },
+    );
+    let output = Arc::new(std::sync::Mutex::new(Vec::new()));
+    serve_lines(&service, input.as_bytes(), SharedSink(Arc::clone(&output))).expect("serve loop");
+    service.shutdown();
+    let text = String::from_utf8(output.lock().unwrap().clone()).expect("utf8 responses");
+    text.lines()
+        .map(|line| serde_json::from_str(line).expect("response parses"))
+        .collect()
+}
+
+/// The README request: three tasks on four speed-1 processors.
+const README_CHAIN: &str = r#"{"tasks": [{"work": 40.0, "output_size": 4.0},
+    {"work": 25.0, "output_size": 2.0}, {"work": 60.0, "output_size": 0.0}]}"#;
+const README_PLATFORM: &str = r#"{"processors": [{"speed": 1.0, "failure_rate": 1e-5},
+    {"speed": 1.0, "failure_rate": 1e-5}, {"speed": 1.0, "failure_rate": 1e-5},
+    {"speed": 1.0, "failure_rate": 1e-5}], "bandwidth": 1.0,
+    "link_failure_rate": 1e-6, "max_replication": 2}"#;
+
+fn readme_line(chain: &str) -> String {
+    format!(r#"{{"id": 1, "chain": {chain}, "platform": {README_PLATFORM}}}"#).replace('\n', " ")
+}
+
+#[test]
+fn a_forged_work_prefix_is_ignored_and_the_real_period_is_reported() {
+    // The derived prefix sums once travelled on the wire and were trusted:
+    // forged to [0, 1, 2, 3], this request was answered with period 2.0.
+    let forged = README_CHAIN.replace("]}", r#"], "work_prefix": [0.0, 1.0, 2.0, 3.0]}"#);
+    assert!(forged.contains("work_prefix"));
+    let responses = serve_text(&format!("{}\n", readme_line(&forged)));
+    assert_eq!(responses.len(), 1);
+    let response = &responses[0];
+    assert_eq!(response.status, ResponseStatus::Ok);
+    assert_eq!(response.worst_case_period, Some(65.0));
+
+    // The reported figures are the mapping's own, re-scored on the chain
+    // the request really describes.
+    let chain: TaskChain = serde_json::from_str(README_CHAIN).unwrap();
+    let platform: Platform = serde_json::from_str(README_PLATFORM).unwrap();
+    let direct = MappingEvaluation::evaluate(&chain, &platform, response.mapping.as_ref().unwrap());
+    assert_eq!(response.worst_case_period, Some(direct.worst_case_period));
+    assert_eq!(response.worst_case_latency, Some(direct.worst_case_latency));
+    assert_eq!(response.reliability, Some(direct.reliability));
+}
+
+#[test]
+fn a_negative_task_work_is_invalid() {
+    let negative = README_CHAIN.replacen("40.0", "-40.0", 1);
+    let responses = serve_text(&format!(
+        "{}\n{}\n",
+        readme_line(&negative),
+        readme_line(README_CHAIN)
+    ));
+    assert_eq!(responses.len(), 2);
+    let invalid: Vec<&ServeResponse> = responses
+        .iter()
+        .filter(|r| r.status == ResponseStatus::Invalid)
+        .collect();
+    assert_eq!(invalid.len(), 1, "{responses:?}");
+    assert!(invalid[0].mapping.is_none());
+    assert!(
+        invalid[0].error.as_deref().unwrap().contains("TaskChain"),
+        "{:?}",
+        invalid[0].error
+    );
+    assert!(responses.iter().any(|r| r.status == ResponseStatus::Ok));
+}
+
+#[test]
+fn a_nesting_bomb_gets_one_invalid_response_and_the_next_line_still_gets_ok() {
+    // One line of 200 000 `[` used to overflow the parser's stack and abort
+    // the whole process.
+    let bomb = "[".repeat(200_000);
+    let responses = serve_text(&format!("{bomb}\n{}\n", readme_line(README_CHAIN)));
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert_eq!(responses[0].status, ResponseStatus::Invalid);
+    assert!(responses[0]
+        .error
+        .as_deref()
+        .unwrap()
+        .contains("recursion limit"));
+    assert_eq!(responses[1].status, ResponseStatus::Ok);
+}
+
+#[test]
+fn a_solve_shed_at_delivery_reports_its_solve_time_and_counts_as_wasted() {
+    // Heavy enough that Algorithm 1 alone outlives a 20 ms deadline.
+    let pairs: Vec<(f64, f64)> = (0..HEAVY_TASKS)
+        .map(|i| (1.0 + ((i * 37) % 101) as f64, ((i * 11) % 13) as f64))
+        .collect();
+    let request = ServeRequest {
+        id: 5,
+        tenant: 0,
+        deadline_ms: Some(20.0),
+        chain: TaskChain::from_pairs(&pairs).unwrap(),
+        platform: Platform::homogeneous(HEAVY_PROCESSORS, 1.0, 1e-5, 1.0, 1e-6, 3).unwrap(),
+        period_bound: None,
+        latency_bound: None,
+    };
+    let service = manual_service(4);
+    let wasted = || {
+        pipelined_rt::obs::global()
+            .snapshot()
+            .counter_value("serve.wasted_solve_micros")
+            .unwrap_or(0)
+    };
+    let wasted_before = wasted();
+    let ticket = service.submit(request);
+    assert!(service.process_one());
+    let response = ticket.wait();
+    assert_eq!(response.status, ResponseStatus::Shed);
+    assert!(response.mapping.is_none(), "a shed never carries a result");
+    assert!(response.solve_micros > 0, "the solve it wasted is reported");
+    let stats = service.stats();
+    assert_eq!(stats.solved, 1);
+    assert!(stats.wasted_solve_micros >= response.solve_micros);
+    assert!(wasted() >= wasted_before + response.solve_micros);
+    service.shutdown();
+}
+
+/// Size of the instance that outlives its 20 ms deadline: about 0.1 s of
+/// Algorithm 1 in a release build, and about 0.5 s unoptimized (where the
+/// release size would take over ten seconds).
+const HEAVY_TASKS: usize = if cfg!(debug_assertions) { 400 } else { 1500 };
+const HEAVY_PROCESSORS: usize = if cfg!(debug_assertions) { 60 } else { 150 };
