@@ -94,6 +94,11 @@ pub struct DpScratch {
     /// (`algo_het_lat`), so a scratch shared by the portfolio backends also
     /// amortizes the per-state label vectors across latency-bounded solves.
     pub(crate) het_lat: crate::algo_het_lat::HetLatArenas,
+    /// Replica patterns of the last class shape the class DPs ran on. Kept
+    /// by [`DpScratch::reset`]: the table depends only on the class member
+    /// counts and the replication bound, and its per-solve speed fields are
+    /// rewritten before every use.
+    pub(crate) patterns: crate::algo_het::PatternTable,
 }
 
 impl DpScratch {

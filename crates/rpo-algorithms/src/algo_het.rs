@@ -180,7 +180,7 @@ impl SolveCtx<'_> {
     /// * [`AlgoError::InvalidBound`] if the bound is not a positive finite
     ///   number;
     /// * [`AlgoError::NoFeasibleMapping`] if no mapping fits the bound.
-    pub fn algo_het(&self, period_bound: Option<f64>) -> Result<HetSolution> {
+    pub fn algo_het(&mut self, period_bound: Option<f64>) -> Result<HetSolution> {
         validate_period_bound(period_bound)?;
 
         // The greedy pipeline first: it is the fallback when the DP cannot run,
@@ -298,19 +298,29 @@ pub(crate) fn greedy_het_bounded(
 }
 
 /// One class-level replica pattern `q = (q_1 … q_{K_c})`.
+///
+/// Most of a pattern depends only on the **class shape** — the per-class
+/// member counts and the replication bound `k_max` — not on the classes'
+/// speeds or failure rates: [`Pattern::counts`], [`Pattern::offset`],
+/// [`Pattern::valid_predecessors`], [`Pattern::runs`] and the validity mask
+/// behind [`Pattern::spends_from`]. A [`PatternTable`] builds those once per
+/// shape and keeps them across solves. Only [`Pattern::min_speed`] and
+/// [`Pattern::min_speed_class`] read the class speeds; they are rewritten
+/// on every solve, at a cost of `K_c` per pattern.
+#[derive(Debug)]
 pub(crate) struct Pattern {
     pub(crate) counts: Vec<usize>,
     /// Mixed-radix offset `Σ q_c · stride_c` — subtracting it from a budget
     /// state spends the pattern.
     pub(crate) offset: usize,
     /// Slowest speed among the classes the pattern uses (decides the
-    /// pattern's period requirement on an interval).
+    /// pattern's period requirement on an interval). Per solve.
     pub(crate) min_speed: f64,
     /// Index of a class achieving [`Pattern::min_speed`] among the used
     /// classes — the class whose boundary-indexed compute grid gives the
-    /// pattern's worst-case latency term on an interval.
+    /// pattern's worst-case latency term on an interval. Per solve.
     pub(crate) min_speed_class: usize,
-    /// Budget states with `b_c ≥ q_c` for every class (precomputed once).
+    /// Budget states with `b_c ≥ q_c` for every class, ascending.
     pub(crate) valid_predecessors: Vec<u32>,
     /// [`Pattern::valid_predecessors`] compacted into dense `(start, len)`
     /// ranges of consecutive states. Valid predecessors form contiguous
@@ -320,25 +330,87 @@ pub(crate) struct Pattern {
     /// long runs), so the chunked kernel sweeps each range with contiguous
     /// loads instead of the per-state list walk that defeats vectorization.
     pub(crate) runs: Vec<(u32, u32)>,
+    /// [`Pattern::valid_predecessors`] as a bit set over the budget states
+    /// (bit `s % 64` of word `s / 64`), for the label DP's live-state sweep.
+    valid: Vec<u64>,
+}
+
+impl Pattern {
+    /// Whether budget state `s` can spend this pattern (`b_c ≥ q_c` for
+    /// every class).
+    #[inline]
+    pub(crate) fn spends_from(&self, s: usize) -> bool {
+        self.valid[s / 64] >> (s % 64) & 1 == 1
+    }
+}
+
+/// The replica patterns of one class shape, kept across solves in
+/// [`DpScratch`](crate::DpScratch) so that the class DPs enumerate patterns
+/// once per shape rather than once per solve. Serving draws fresh speeds
+/// for every request but keeps the class sizes, so the table is keyed by
+/// `(per-class member counts, k_max)` and only the speed fields are
+/// refreshed per solve. Reuse is visible through the
+/// `het_lat.pattern_table.{hits,misses}` counters (both class DPs report
+/// there).
+#[derive(Debug, Default)]
+pub(crate) struct PatternTable {
+    /// Per-class member counts of the cached shape.
+    members: Vec<usize>,
+    /// Replication bound of the cached shape.
+    k_max: usize,
+    patterns: Vec<Pattern>,
+}
+
+impl PatternTable {
+    /// The patterns of `view`'s class shape under replication bound
+    /// `k_max`, rebuilt only when the shape differs from the cached one,
+    /// with the speed fields set from `view`.
+    pub(crate) fn for_view(&mut self, view: &ClassView, k_max: usize) -> &[Pattern] {
+        let same_shape = self.k_max == k_max
+            && self.members.len() == view.len()
+            && self
+                .members
+                .iter()
+                .zip(view.classes())
+                .all(|(&m, class)| m == class.members);
+        if same_shape {
+            rpo_obs::counter!("het_lat.pattern_table.hits").inc();
+        } else {
+            rpo_obs::counter!("het_lat.pattern_table.misses").inc();
+            self.members = view.classes().iter().map(|c| c.members).collect();
+            self.k_max = k_max;
+            self.patterns = pattern_shapes(&self.members, k_max, &class_strides(view));
+        }
+        set_pattern_speeds(&mut self.patterns, view);
+        &self.patterns
+    }
 }
 
 /// Enumerates every replica pattern `1 ≤ Σ q_c ≤ k_max`, `q_c ≤ m_c`, in a
-/// fixed (odometer) order, with its valid predecessor states.
-pub(crate) fn enumerate_patterns(
-    view: &ClassView,
-    k_max: usize,
-    strides: &[usize],
-) -> Vec<Pattern> {
-    let kc = view.len();
-    let num_states = budget_states(view);
-    // Per-state digit decode, reused by every pattern's predecessor filter.
-    let digits: Vec<Vec<usize>> = (0..num_states)
-        .map(|s| {
-            (0..kc)
-                .map(|c| s / strides[c] % (view.class(c).members + 1))
-                .collect()
-        })
-        .collect();
+/// fixed (odometer) order, with its valid predecessor states and its speed
+/// fields set from `view` — a fresh table, for the solvers that run without
+/// a scratch (the exhaustive references and the scalar class DP).
+pub(crate) fn enumerate_patterns(view: &ClassView, k_max: usize) -> Vec<Pattern> {
+    let members: Vec<usize> = view.classes().iter().map(|c| c.members).collect();
+    let mut patterns = pattern_shapes(&members, k_max, &class_strides(view));
+    set_pattern_speeds(&mut patterns, view);
+    patterns
+}
+
+/// The speed-independent part of [`enumerate_patterns`]: every pattern of
+/// the class shape `members` (with budget-digit `strides`) under `k_max`,
+/// with its speed fields unset.
+fn pattern_shapes(members: &[usize], k_max: usize, strides: &[usize]) -> Vec<Pattern> {
+    let kc = members.len();
+    let num_states: usize = members.iter().map(|m| m + 1).product();
+    // Flat per-state digit decode (`digits[s·K_c + c] = b_c`), reused by
+    // every pattern's predecessor filter.
+    let mut digits = vec![0usize; num_states * kc];
+    for (s, state) in digits.chunks_exact_mut(kc).enumerate() {
+        for (c, digit) in state.iter_mut().enumerate() {
+            *digit = s / strides[c] % (members[c] + 1);
+        }
+    }
 
     let mut patterns = Vec::new();
     let mut q = vec![0usize; kc];
@@ -349,7 +421,7 @@ pub(crate) fn enumerate_patterns(
             if c == kc {
                 break 'odometer;
             }
-            if q[c] < view.class(c).members.min(k_max) {
+            if q[c] < members[c].min(k_max) {
                 q[c] += 1;
                 break;
             }
@@ -361,21 +433,14 @@ pub(crate) fn enumerate_patterns(
             continue;
         }
         let offset: usize = q.iter().zip(strides).map(|(&qc, &s)| qc * s).sum();
-        let (min_speed_class, min_speed) = q
-            .iter()
-            .enumerate()
-            .filter(|&(_, &qc)| qc > 0)
-            .map(|(c, _)| (c, view.class(c).speed))
-            .fold((usize::MAX, f64::INFINITY), |acc, cur| {
-                if cur.1 < acc.1 {
-                    cur
-                } else {
-                    acc
-                }
-            });
-        let valid_predecessors: Vec<u32> = (0..num_states as u32)
-            .filter(|&s| digits[s as usize].iter().zip(&q).all(|(&b, &qc)| b >= qc))
-            .collect();
+        let mut valid = vec![0u64; num_states.div_ceil(64)];
+        let mut valid_predecessors = Vec::new();
+        for (s, state) in digits.chunks_exact(kc).enumerate() {
+            if state.iter().zip(&q).all(|(&b, &qc)| b >= qc) {
+                valid_predecessors.push(s as u32);
+                valid[s / 64] |= 1 << (s % 64);
+            }
+        }
         // Coalesce the (ascending) predecessor list into dense ranges for
         // the chunked kernel's contiguous sweeps.
         let mut runs: Vec<(u32, u32)> = Vec::new();
@@ -388,13 +453,36 @@ pub(crate) fn enumerate_patterns(
         patterns.push(Pattern {
             counts: q.clone(),
             offset,
-            min_speed,
-            min_speed_class,
+            min_speed: f64::NAN,
+            min_speed_class: usize::MAX,
             valid_predecessors,
             runs,
+            valid,
         });
     }
     patterns
+}
+
+/// Sets every pattern's slowest used class and its speed from `view` (the
+/// first such class in class order on ties).
+fn set_pattern_speeds(patterns: &mut [Pattern], view: &ClassView) {
+    for pattern in patterns {
+        let (min_speed_class, min_speed) = pattern
+            .counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &qc)| qc > 0)
+            .map(|(c, _)| (c, view.class(c).speed))
+            .fold((usize::MAX, f64::INFINITY), |acc, cur| {
+                if cur.1 < acc.1 {
+                    cur
+                } else {
+                    acc
+                }
+            });
+        pattern.min_speed = min_speed;
+        pattern.min_speed_class = min_speed_class;
+    }
 }
 
 /// Chains longer than this are rejected by [`exhaustive_het`].
@@ -430,8 +518,7 @@ pub fn exhaustive_het(
     let oracle = IntervalOracle::new(chain, platform);
     let view = oracle.class_view();
     let k_max = oracle.max_replication().min(oracle.num_processors());
-    let strides = class_strides(view);
-    let patterns = enumerate_patterns(view, k_max, &strides);
+    let patterns = enumerate_patterns(view, k_max);
 
     #[allow(clippy::too_many_arguments)]
     fn recurse(
@@ -570,7 +657,7 @@ mod tests {
         let p = class_platform();
         let oracle = IntervalOracle::new(&c, &p);
         let mut scratch = crate::DpScratch::new();
-        let ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
+        let mut ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
         for bound in [None, Some(15.0), Some(40.0), Some(1000.0)] {
             let het = ctx.algo_het(bound).unwrap();
             let greedy = ctx.greedy_het(bound).unwrap();
@@ -639,7 +726,7 @@ mod tests {
         assert_eq!(oracle.classes().len(), 5);
         assert!(!het_dp_applicable(&oracle));
         let mut scratch = crate::DpScratch::new();
-        let ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
+        let mut ctx = SolveCtx::new(&c, &p, &oracle, &mut scratch);
         let sol = ctx.algo_het(Some(100.0)).unwrap();
         assert_eq!(sol.method, HetMethod::Greedy);
         let greedy = ctx.greedy_het(Some(100.0)).unwrap();

@@ -30,6 +30,38 @@
 //! the final re-scored `worst_case_latency` agree **bit-for-bit**, and the
 //! returned reliability is the exact Eq. 9 value of the lowered mapping.
 //!
+//! # Paying only for labels that can still finish
+//!
+//! * **Suffix latency floor.** Once per solve, a backward O(n²) pass
+//!   computes `floor[i]`, the least worst-case latency of covering tasks
+//!   `i … n−1` with every interval at the fastest class's term, over the
+//!   intervals that pass the DP's own period checks. Every pattern's term
+//!   is at least the fastest class's term on the same interval, so a label
+//!   at boundary `i` whose `lat + floor[i]` exceeds the bound has no
+//!   feasible completion and is cut (counted by
+//!   `het_lat.labels_cut.floor`). The comparison is against the bound
+//!   widened by a relative margin of `4 (n + 2) ε`, which covers the
+//!   rounding of the `n` additions on either side: a label whose completion
+//!   lands exactly on the bound is never cut.
+//! * **Live-state sweep.** When boundary `i` is complete, its non-empty
+//!   budget states are recorded in ascending order together with its least
+//!   label latency. A later row skips a start with no live state, or whose
+//!   least latency plus the fastest term already cannot finish; skips a
+//!   pattern on the same test with its own term; and visits only the live
+//!   states that are valid predecessors of each pattern (a bit-set test).
+//!
+//! Neither changes an answer or a front point. A cut label can neither
+//! finish nor evict a label that could: eviction needs a latency no larger
+//! than the evicted label's, and at one boundary the cut is upward closed in
+//! latency. The insertions that remain happen in the same order
+//! `(start descending, pattern, state ascending, label ascending)` as a
+//! sweep without the cuts, and that order decides which of two equal labels
+//! survives, so ties return the same mapping. Which labels survive the
+//! reliability cut is unchanged too, since that cut depends on the label
+//! alone. The label cap below counts only the labels that survive the
+//! cuts, so an instance can complete exactly where an uncut sweep would
+//! overflow into the Lagrangian fallback; its answer can only improve.
+//!
 //! When an instance's label population exceeds [`MAX_LAT_LABELS`] (the
 //! latency analogue of `algo_het`'s budget-state cap), the exact DP aborts
 //! and a **Lagrangian / parametric sweep** takes over: maximize the penalized
@@ -49,8 +81,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::algo1::OptimalMapping;
 use crate::algo_het::{
-    budget_states, class_strides, enumerate_patterns, greedy_het_bounded, het_dp_applicable,
-    Pattern, Segments, MAX_EXHAUSTIVE_HET_TASKS,
+    budget_states, enumerate_patterns, greedy_het_bounded, het_dp_applicable, Pattern, Segments,
+    MAX_EXHAUSTIVE_HET_TASKS,
 };
 use crate::{validate_period_bound, AlgoError, Result, SolveCtx};
 
@@ -180,7 +212,10 @@ impl SolveCtx<'_> {
     /// live in the context scratch's pooled arenas, so a batch driver that
     /// reuses one scratch across latency-bounded solves stops churning
     /// allocations (reuse is visible through the
-    /// `het_lat.label_pool.{hits,misses}` counters).
+    /// `het_lat.label_pool.{hits,misses}` counters). Its replica patterns
+    /// come from the scratch's table keyed by class shape, rebuilt only
+    /// when the class member counts or the replication bound change
+    /// (`het_lat.pattern_table.{hits,misses}`).
     ///
     /// # Errors
     ///
@@ -224,6 +259,9 @@ impl SolveCtx<'_> {
         }
 
         let incumbent = greedy_reliability.unwrap_or(0.0);
+        let k_max = oracle.max_replication().min(oracle.num_processors());
+        let scratch = &mut *self.scratch;
+        let patterns = scratch.patterns.for_view(oracle.class_view(), k_max);
         let (dp, method, label_dp_completed) = match label_dp(
             oracle,
             chain,
@@ -231,12 +269,20 @@ impl SolveCtx<'_> {
             period_bound,
             latency_bound,
             incumbent,
-            &mut self.scratch.het_lat,
+            patterns,
+            &mut scratch.het_lat,
         ) {
             LabelDpOutcome::Solved(solution) => (solution, HetLatMethod::LatDp, true),
             LabelDpOutcome::Overflow => (
-                lagrangian_sweep(oracle, chain, platform, period_bound, latency_bound)
-                    .map(|solution| (solution, Vec::new())),
+                lagrangian_sweep(
+                    oracle,
+                    chain,
+                    platform,
+                    period_bound,
+                    latency_bound,
+                    patterns,
+                )
+                .map(|solution| (solution, Vec::new())),
                 HetLatMethod::Lagrangian,
                 false,
             ),
@@ -331,6 +377,12 @@ pub(crate) struct Label {
 pub(crate) struct HetLatArenas {
     /// Per-`(boundary, budgets)` Pareto label lists.
     states: Vec<Vec<Label>>,
+    /// Per-boundary live budget states (non-empty label lists), ascending.
+    live: Vec<Vec<u32>>,
+    /// Per-boundary least label latency (`+∞` with no live state).
+    least_lat: Vec<f64>,
+    /// Per-boundary suffix latency floor (see [`suffix_floor`]).
+    floor: Vec<f64>,
     /// Per-class block-row gather buffers.
     rows: Vec<Vec<f64>>,
     /// Per-class failure powers `(1 − block)^q`.
@@ -344,6 +396,11 @@ impl HetLatArenas {
         for labels in &mut self.states {
             labels.clear();
         }
+        for live in &mut self.live {
+            live.clear();
+        }
+        self.least_lat.clear();
+        self.floor.clear();
         for row in &mut self.rows {
             row.clear();
         }
@@ -352,26 +409,25 @@ impl HetLatArenas {
         }
     }
 
-    /// Prepares the arenas for one label-DP run of `len` states over `kc`
-    /// classes with replication bound `k_max`, recording pool reuse: a hit
-    /// when the state arena's capacity already covers the run, a miss when
-    /// it has to grow.
-    fn prepare(&mut self, len: usize, kc: usize, k_max: usize) {
+    /// Prepares the arenas for one label-DP run over `n` tasks, `num_states`
+    /// budget states and `kc` classes with replication bound `k_max`,
+    /// recording pool reuse: a hit when the state arena's capacity already
+    /// covers the run, a miss when it has to grow.
+    fn prepare(&mut self, n: usize, num_states: usize, kc: usize, k_max: usize) {
+        let len = (n + 1) * num_states;
         if self.states.capacity() >= len {
             rpo_obs::counter!("het_lat.label_pool.hits").inc();
         } else {
             rpo_obs::counter!("het_lat.label_pool.misses").inc();
         }
-        for labels in &mut self.states {
-            labels.clear();
-        }
+        self.reset();
         self.states.truncate(len);
         self.states.resize_with(len, Vec::new);
+        self.live.truncate(n + 1);
+        self.live.resize_with(n + 1, Vec::new);
+        self.least_lat.resize(n + 1, f64::INFINITY);
         self.rows.truncate(kc);
         self.rows.resize_with(kc, Vec::new);
-        for pow in &mut self.powers {
-            pow.clear();
-        }
         self.powers.truncate(kc);
         self.powers.resize_with(kc, Vec::new);
         for pow in &mut self.powers {
@@ -416,11 +472,70 @@ fn insert_label(labels: &mut Vec<Label>, label: Label) -> Option<isize> {
     Some(1 - removed as isize)
 }
 
+/// Relative slack of the suffix-floor cut for an `n`-task chain. A label's
+/// final latency and the floor are each left-to-right or right-to-left sums
+/// of at most `n + 1` rounded additions of non-negative terms, so each is
+/// within a relative `(n + 1)·2⁻⁵³` of its exact value; `4 (n + 2) ε`
+/// (ε = 2⁻⁵²) covers both with room to spare. A label is cut only when even
+/// this margin cannot save it, so a completion that lands exactly on the
+/// bound is never cut.
+fn floor_margin(n: usize) -> f64 {
+    4.0 * (n as f64 + 2.0) * f64::EPSILON
+}
+
+/// The suffix latency floor of one solve: `floor[i]` is the least
+/// worst-case latency of covering tasks `i … n−1` (`floor[n] = 0`), taking
+/// each interval at the fastest class's term and allowing only intervals
+/// that pass the DP's own period checks (incoming and outgoing
+/// communication, `work / max_speed`) and whose term fits the latency bound
+/// on its own. Every pattern's term is at least the fastest class's term on
+/// the same interval, so no completion of a boundary-`i` label is faster
+/// than `floor[i]` (up to [`floor_margin`]). `+∞` marks a boundary with no
+/// admissible completion. Backward O(n²) pass.
+fn suffix_floor(
+    oracle: &IntervalOracle,
+    bound: f64,
+    latency_bound: f64,
+    in_ok: &[bool],
+    fastest: usize,
+    floor: &mut Vec<f64>,
+) {
+    let n = oracle.len();
+    let work_prefix = oracle.work_prefix();
+    let max_speed = oracle.class_view().max_speed();
+    floor.clear();
+    floor.resize(n + 1, f64::INFINITY);
+    floor[n] = 0.0;
+    for i in (0..n).rev() {
+        if !in_ok[i] {
+            continue;
+        }
+        let mut least = f64::INFINITY;
+        for last in i..n {
+            // The compute time grows with `last`: once it breaks the period
+            // or the latency bound, every longer interval does too.
+            let compute = (work_prefix[last + 1] - work_prefix[i]) / max_speed;
+            if compute > bound || compute > latency_bound {
+                break;
+            }
+            if oracle.output_comm_time(last) > bound {
+                continue;
+            }
+            let term = oracle.class_latency_term(fastest, i, last);
+            if term <= latency_bound {
+                least = least.min(term + floor[last + 1]);
+            }
+        }
+        floor[i] = least;
+    }
+}
+
 /// The exact label DP over `(boundary, per-class budgets, latency-so-far)`.
 ///
 /// The admissibility prelude and block-row gather mirror
 /// `algo_het::class_dp` and [`penalized_dp`] — the three DPs differ in
 /// their value type, so a fix to the shared shape must land in all three.
+/// See the module docs for the floor cut and the live-state sweep.
 #[allow(clippy::too_many_arguments)]
 fn label_dp(
     oracle: &IntervalOracle,
@@ -429,6 +544,7 @@ fn label_dp(
     period_bound: Option<f64>,
     latency_bound: f64,
     incumbent: f64,
+    patterns: &[Pattern],
     arenas: &mut HetLatArenas,
 ) -> LabelDpOutcome {
     let n = oracle.len();
@@ -436,9 +552,7 @@ fn label_dp(
     let kc = view.len();
     let k_max = oracle.max_replication().min(oracle.num_processors());
 
-    let strides = class_strides(view);
     let num_states = budget_states(view);
-    let patterns = enumerate_patterns(view, k_max, &strides);
     assert!(
         patterns.len() < (1 << 32) && n < (1 << 24) && num_states < (1 << 32),
         "label traceback supports < 2^32 patterns/labels and n < 2^24"
@@ -448,18 +562,31 @@ fn label_dp(
     let prune_below = incumbent * (1.0 - 1e-9);
     let work_prefix = oracle.work_prefix();
     let max_speed = view.max_speed();
+    let fastest = (0..kc)
+        .find(|&c| view.class(c).speed == max_speed)
+        .expect("some class has the largest speed");
     let in_ok: Vec<bool> = (0..n).map(|j| oracle.input_comm_time(j) <= bound).collect();
 
     let full = num_states - 1;
-    // Per-state label lists, per-class block-row gather buffers, and per-class
-    // failure powers (1 − block)^q all come from the pooled arenas — same
-    // shape as the scalar class DP, but reused across solves.
-    arenas.prepare((n + 1) * num_states, kc, k_max);
+    // Per-state label lists, per-boundary live states, least latencies and
+    // suffix floor, per-class block-row gather buffers, and per-class
+    // failure powers (1 − block)^q all come from the pooled arenas.
+    arenas.prepare(n, num_states, kc, k_max);
     let HetLatArenas {
         states,
+        live,
+        least_lat,
+        floor,
         rows,
         powers,
     } = arenas;
+    suffix_floor(oracle, bound, latency_bound, &in_ok, fastest, floor);
+    let floor_cut = latency_bound * (1.0 + floor_margin(n));
+    // A label of latency `lat` at boundary `i` can still finish within the
+    // bound. Latency sums only grow, and `+` is monotone in each operand,
+    // so a lower bound that fails here fails for every label it bounds.
+    let can_finish = |lat: f64, i: usize| lat <= latency_bound && lat + floor[i] <= floor_cut;
+
     states[full].push(Label {
         lat: 0.0,
         rel: 1.0,
@@ -467,11 +594,14 @@ fn label_dp(
         pattern: 0,
         pred_label: 0,
     });
+    live[0].push(full as u32);
+    least_lat[0] = 0.0;
     let mut live_labels: isize = 1;
     let mut labels_inserted: u64 = 1;
+    let mut labels_cut_floor: u64 = 0;
 
     for i in 1..=n {
-        if oracle.output_comm_time(i - 1) > bound {
+        if oracle.output_comm_time(i - 1) > bound || !can_finish(0.0, i) {
             continue;
         }
         let j_lo = if bound.is_finite() {
@@ -487,11 +617,19 @@ fn label_dp(
         let (done, rest) = states.split_at_mut(i * num_states);
         let row_i = &mut rest[..num_states];
         for j in (j_lo..i).rev() {
-            if !in_ok[j] {
+            let live_j = &live[j];
+            if live_j.is_empty() || !in_ok[j] {
                 continue;
             }
             let work = work_prefix[i] - work_prefix[j];
             if work / max_speed > bound {
+                continue;
+            }
+            // Every pattern's term is at least the fastest class's: when
+            // the start's least latency cannot finish through it, no label
+            // of this start can.
+            let least = least_lat[j];
+            if !can_finish(least + oracle.class_latency_term(fastest, j, i - 1), i) {
                 continue;
             }
             for (c, row) in rows.iter().enumerate() {
@@ -510,6 +648,9 @@ fn label_dp(
                 // slowest used class's compute time plus the outgoing
                 // communication — evaluator operation order.
                 let lat_term = oracle.class_latency_term(pattern.min_speed_class, j, i - 1);
+                if !can_finish(least + lat_term, i) {
+                    continue;
+                }
                 let survive: f64 = pattern
                     .counts
                     .iter()
@@ -517,14 +658,25 @@ fn label_dp(
                     .map(|(c, &qc)| powers[c][qc])
                     .product();
                 let rel = 1.0 - survive;
-                for &s in &pattern.valid_predecessors {
+                // Live states in ascending order: the same insertion order
+                // as a walk over every valid predecessor, since empty states
+                // insert nothing.
+                for &s in live_j {
                     let s = s as usize;
+                    if !pattern.spends_from(s) {
+                        continue;
+                    }
                     let target = s - pattern.offset;
-                    for (pred_label, label) in row_j[s].iter().enumerate() {
+                    let labels = &row_j[s];
+                    for (pred_label, label) in labels.iter().enumerate() {
                         let lat = label.lat + lat_term;
+                        // Labels are sorted by ascending latency: once one
+                        // cannot finish, no later label of this state can.
                         if lat > latency_bound {
-                            // Labels are sorted by ascending latency: every
-                            // later label of this state overflows too.
+                            break;
+                        }
+                        if lat + floor[i] > floor_cut {
+                            labels_cut_floor += (labels.len() - pred_label) as u64;
                             break;
                         }
                         let cand = label.rel * rel;
@@ -549,13 +701,24 @@ fn label_dp(
             }
             if live_labels as usize > MAX_LAT_LABELS {
                 rpo_obs::counter!("het_lat.labels").add(labels_inserted);
+                rpo_obs::counter!("het_lat.labels_cut.floor").add(labels_cut_floor);
                 rpo_obs::counter!("het_lat.label_cap_aborts").inc();
                 return LabelDpOutcome::Overflow;
+            }
+        }
+        // Boundary i is complete: record its live states and least latency
+        // for the rows that start here.
+        let live_i = &mut live[i];
+        for (s, labels) in row_i.iter().enumerate() {
+            if let Some(first) = labels.first() {
+                live_i.push(s as u32);
+                least_lat[i] = least_lat[i].min(first.lat);
             }
         }
     }
 
     rpo_obs::counter!("het_lat.labels").add(labels_inserted);
+    rpo_obs::counter!("het_lat.labels_cut.floor").add(labels_cut_floor);
 
     // Merge the final boundary's per-state Pareto label lists into one
     // latency–reliability front: each list is already non-dominated within
@@ -788,13 +951,10 @@ fn lagrangian_sweep(
     platform: &Platform,
     period_bound: Option<f64>,
     latency_bound: f64,
+    patterns: &[Pattern],
 ) -> Option<OptimalMapping> {
     let bound = period_bound.unwrap_or(f64::INFINITY);
-    let view = oracle.class_view();
-    let k_max = oracle.max_replication().min(oracle.num_processors());
-    let strides = class_strides(view);
-    let num_states = budget_states(view);
-    let patterns = enumerate_patterns(view, k_max, &strides);
+    let num_states = budget_states(oracle.class_view());
 
     /// Keeps `(mapping, reliability)` as the incumbent when its latency is
     /// feasible and its exact reliability improves on the current best;
@@ -819,7 +979,7 @@ fn lagrangian_sweep(
     // μ = 0 is the latency-unconstrained reliability optimum under the
     // period bound: if it is feasible, it is the true constrained optimum
     // and the sweep is exact.
-    let unpenalized = penalized_dp(oracle, chain, platform, bound, 0.0, num_states, &patterns)?;
+    let unpenalized = penalized_dp(oracle, chain, platform, bound, 0.0, num_states, patterns)?;
     if keep(&mut best, latency_bound, unpenalized) {
         return best;
     }
@@ -831,7 +991,7 @@ fn lagrangian_sweep(
     let mut feasible_hi = false;
     for _ in 0..60 {
         if let Some(solution) =
-            penalized_dp(oracle, chain, platform, bound, mu_hi, num_states, &patterns)
+            penalized_dp(oracle, chain, platform, bound, mu_hi, num_states, patterns)
         {
             if keep(&mut best, latency_bound, solution) {
                 feasible_hi = true;
@@ -849,7 +1009,7 @@ fn lagrangian_sweep(
     // reliability, more latency), keeping every feasible incumbent.
     for _ in 0..LAGRANGIAN_STEPS {
         let mu = 0.5 * (mu_lo + mu_hi);
-        let solution = penalized_dp(oracle, chain, platform, bound, mu, num_states, &patterns);
+        let solution = penalized_dp(oracle, chain, platform, bound, mu, num_states, patterns);
         if solution.is_some_and(|solution| keep(&mut best, latency_bound, solution)) {
             mu_hi = mu;
         } else {
@@ -889,8 +1049,7 @@ pub fn exhaustive_het_lat(
     let oracle = IntervalOracle::new(chain, platform);
     let view = oracle.class_view();
     let k_max = oracle.max_replication().min(oracle.num_processors());
-    let strides = class_strides(view);
-    let patterns = enumerate_patterns(view, k_max, &strides);
+    let patterns = enumerate_patterns(view, k_max);
 
     #[allow(clippy::too_many_arguments)]
     fn recurse(
@@ -1222,7 +1381,9 @@ mod tests {
         let p = class_platform();
         let oracle = IntervalOracle::new(&c, &p);
         let exact = algo_het_lat(&c, &p, Some(40.0), 45.0).unwrap();
-        let swept = lagrangian_sweep(&oracle, &c, &p, Some(40.0), 45.0).unwrap();
+        let k_max = oracle.max_replication().min(oracle.num_processors());
+        let patterns = enumerate_patterns(oracle.class_view(), k_max);
+        let swept = lagrangian_sweep(&oracle, &c, &p, Some(40.0), 45.0, &patterns).unwrap();
         let eval = oracle.evaluate(&swept.mapping);
         assert!(eval.worst_case_latency <= 45.0);
         assert!(swept.reliability <= exact.reliability + 1e-15);
@@ -1248,9 +1409,8 @@ mod tests {
         let oracle = IntervalOracle::new(&c, &p);
         let view = oracle.class_view();
         let k_max = oracle.max_replication().min(oracle.num_processors());
-        let strides = class_strides(view);
         let num_states = budget_states(view);
-        let patterns = enumerate_patterns(view, k_max, &strides);
+        let patterns = enumerate_patterns(view, k_max);
         let (_, _, latency) =
             penalized_dp(&oracle, &c, &p, f64::INFINITY, 1e9, num_states, &patterns)
                 .expect("unbounded-period penalized solve always finds a mapping");
@@ -1260,6 +1420,208 @@ mod tests {
             penalized_dp(&oracle, &c, &p, f64::INFINITY, 0.0, num_states, &patterns).unwrap();
         let het = crate::algo_het(&c, &p, None).unwrap();
         assert!((reliability - het.reliability).abs() <= 1e-12 * het.reliability);
+    }
+
+    /// Every complete class-level mapping that passes the DP's period
+    /// checks and the latency bound, as `(latency, reliability, mapping)`:
+    /// latency summed left to right from the DP's own terms, reliability the
+    /// exact Eq. 9 value of the lowered mapping.
+    fn every_mapping(
+        oracle: &IntervalOracle,
+        chain: &TaskChain,
+        platform: &Platform,
+        bound: f64,
+        latency_bound: f64,
+    ) -> Vec<(f64, f64, Mapping)> {
+        #[allow(clippy::too_many_arguments)]
+        fn recurse(
+            oracle: &IntervalOracle,
+            patterns: &[Pattern],
+            bound: f64,
+            latency_bound: f64,
+            start: usize,
+            latency: f64,
+            budgets: &mut [usize],
+            segments: &mut Segments,
+            out: &mut Vec<(f64, Segments)>,
+        ) {
+            let n = oracle.len();
+            if start == n {
+                out.push((latency, segments.clone()));
+                return;
+            }
+            if oracle.input_comm_time(start) > bound {
+                return;
+            }
+            for last in start..n {
+                if oracle.output_comm_time(last) > bound {
+                    continue;
+                }
+                let work = oracle.work(start, last);
+                for pattern in patterns {
+                    let lat =
+                        latency + oracle.class_latency_term(pattern.min_speed_class, start, last);
+                    if work / pattern.min_speed > bound
+                        || lat > latency_bound
+                        || pattern.counts.iter().zip(&*budgets).any(|(&q, &b)| q > b)
+                    {
+                        continue;
+                    }
+                    for (b, &q) in budgets.iter_mut().zip(&pattern.counts) {
+                        *b -= q;
+                    }
+                    segments.push((start, last, pattern.counts.clone()));
+                    recurse(
+                        oracle,
+                        patterns,
+                        bound,
+                        latency_bound,
+                        last + 1,
+                        lat,
+                        budgets,
+                        segments,
+                        out,
+                    );
+                    segments.pop();
+                    for (b, &q) in budgets.iter_mut().zip(&pattern.counts) {
+                        *b += q;
+                    }
+                }
+            }
+        }
+        let view = oracle.class_view();
+        let k_max = oracle.max_replication().min(oracle.num_processors());
+        let patterns = enumerate_patterns(view, k_max);
+        let mut budgets: Vec<usize> = view.classes().iter().map(|c| c.members).collect();
+        let mut complete = Vec::new();
+        recurse(
+            oracle,
+            &patterns,
+            bound,
+            latency_bound,
+            0,
+            0.0,
+            &mut budgets,
+            &mut Vec::new(),
+            &mut complete,
+        );
+        complete
+            .into_iter()
+            .map(|(latency, segments)| {
+                let (partition, assignment) =
+                    assignment_from_segments(&segments, oracle.len()).unwrap();
+                let mapping = assignment.lower(view, &partition, chain, platform).unwrap();
+                (latency, oracle.mapping_reliability(&mapping), mapping)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_label_dp_front_is_the_brute_force_front() {
+        // Tiny instances: the fixture plus a few generated ones (3–5 tasks,
+        // 2–3 classes), each under several period and latency bounds.
+        let mut instances = vec![(chain(), class_platform())];
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |lo: f64, hi: f64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            lo + (hi - lo) * (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for case in 0..6 {
+            let tasks: Vec<(f64, f64)> = (0..3 + case % 3)
+                .map(|_| (draw(1.0, 60.0), draw(0.0, 8.0)))
+                .collect();
+            let mut builder = PlatformBuilder::new()
+                .bandwidth(draw(0.5, 3.0))
+                .link_failure_rate(1e-5)
+                .max_replication(2 + case % 2);
+            for class in 0..2 + case % 2 {
+                let (speed, rate) = (draw(1.0, 6.0), 10f64.powf(draw(-5.0, -2.0)));
+                for _ in 0..1 + (case + class) % 3 {
+                    builder = builder.processor(speed, rate);
+                }
+            }
+            instances.push((
+                TaskChain::from_pairs(&tasks).unwrap(),
+                builder.build().unwrap(),
+            ));
+        }
+
+        let mut compared_points = 0;
+        for (c, p) in &instances {
+            let oracle = IntervalOracle::new(c, p);
+            let floor = oracle.latency_floor();
+            let k_max = oracle.max_replication().min(oracle.num_processors());
+            let patterns = enumerate_patterns(oracle.class_view(), k_max);
+            for period in [None, Some(0.8 * floor)] {
+                let bound = period.unwrap_or(f64::INFINITY);
+                for slack in [1.0, 1.15, 1.5, 3.0] {
+                    let latency = slack * floor;
+                    let mut scratch = crate::DpScratch::new();
+                    let ctx = SolveCtx::new(c, p, &oracle, &mut scratch);
+                    let incumbent = ctx
+                        .greedy_het_lat(period, latency)
+                        .map_or(0.0, |g| g.reliability);
+                    let mut arenas = HetLatArenas::default();
+                    let LabelDpOutcome::Solved(solved) = label_dp(
+                        &oracle,
+                        c,
+                        p,
+                        period,
+                        latency,
+                        incumbent,
+                        &patterns,
+                        &mut arenas,
+                    ) else {
+                        panic!("tiny instances never overflow the label cap");
+                    };
+                    let dp_front = solved.map(|(_, front)| front).unwrap_or_default();
+
+                    // The brute-force front: every complete mapping above the
+                    // DP's incumbent cut, merged the way the DP merges its
+                    // final labels (latency ascending, strictly improving
+                    // reliability).
+                    let prune_below = incumbent * (1.0 - 1e-9);
+                    let mut all: Vec<(f64, f64, Mapping)> =
+                        every_mapping(&oracle, c, p, bound, latency)
+                            .into_iter()
+                            .filter(|&(_, rel, _)| rel >= prune_below)
+                            .collect();
+                    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
+                    let mut brute: Vec<&(f64, f64, Mapping)> = Vec::new();
+                    for point in &all {
+                        if brute.last().is_none_or(|best| point.1 > best.1) {
+                            brute.push(point);
+                        }
+                    }
+
+                    let case = format!("({period:?}, {latency})");
+                    assert_eq!(dp_front.len(), brute.len(), "{case}: front sizes");
+                    for (dp, &(lat, rel, _)) in dp_front.iter().zip(&brute) {
+                        assert_eq!(dp.worst_case_latency, *lat, "{case}: latency");
+                        assert!(
+                            (dp.reliability - rel).abs() <= 1e-12 * rel,
+                            "{case}: reliability {} vs {rel}",
+                            dp.reliability
+                        );
+                        // Up to exact ties: the DP's mapping is one of the
+                        // brute-force mappings at this front point.
+                        assert!(
+                            all.iter().any(|(l, r, m)| l == lat
+                                && (r - rel).abs() <= 1e-12 * rel
+                                && *m == dp.mapping),
+                            "{case}: the DP's mapping is not a brute-force mapping of its point"
+                        );
+                    }
+                    compared_points += dp_front.len();
+                }
+            }
+        }
+        assert!(
+            compared_points >= 60,
+            "only {compared_points} front points compared"
+        );
     }
 
     #[test]

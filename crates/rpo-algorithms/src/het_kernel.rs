@@ -57,9 +57,7 @@
 use rpo_model::{assignment_from_segments, IntervalOracle};
 
 use crate::algo1::{OptimalMapping, LANES};
-use crate::algo_het::{
-    budget_states, class_strides, enumerate_patterns, het_dp_applicable, Pattern,
-};
+use crate::algo_het::{budget_states, class_strides, het_dp_applicable, Pattern};
 use crate::{validate_period_bound, SolveCtx};
 
 impl SolveCtx<'_> {
@@ -78,7 +76,11 @@ impl SolveCtx<'_> {
     /// Panics if [`het_dp_applicable`] does not hold for the oracle, or the
     /// bound is not `None` or a positive finite number ([`SolveCtx::algo_het`]
     /// checks both before calling it).
-    pub fn class_dp(&self, period_bound: Option<f64>, incumbent: f64) -> Option<OptimalMapping> {
+    pub fn class_dp(
+        &mut self,
+        period_bound: Option<f64>,
+        incumbent: f64,
+    ) -> Option<OptimalMapping> {
         let (oracle, chain, platform) = (self.oracle(), self.chain(), self.platform());
         assert!(
             het_dp_applicable(oracle),
@@ -93,7 +95,7 @@ impl SolveCtx<'_> {
 
         let strides = class_strides(view);
         let num_states = budget_states(view);
-        let patterns = enumerate_patterns(view, k_max, &strides);
+        let patterns = self.scratch.patterns.for_view(view, k_max);
         let _span = rpo_obs::span!(
             "dp.het_kernel",
             rows = n,
@@ -127,7 +129,7 @@ impl SolveCtx<'_> {
             }
             gather_rows(
                 oracle,
-                &patterns,
+                patterns,
                 work_prefix,
                 bound,
                 &in_ok,
@@ -183,7 +185,7 @@ impl SolveCtx<'_> {
             let j_lo = row_start(work_prefix, i, bound, max_speed);
             gather_rows(
                 oracle,
-                &patterns,
+                patterns,
                 work_prefix,
                 bound,
                 &in_ok,

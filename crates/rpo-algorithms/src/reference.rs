@@ -12,7 +12,7 @@
 use rpo_model::{assignment_from_segments, IntervalOracle};
 
 use crate::algo1::{best_final_state, mapping_from_segments, OptimalMapping};
-use crate::algo_het::{budget_states, class_strides, enumerate_patterns};
+use crate::algo_het::{budget_states, enumerate_patterns};
 use crate::SolveCtx;
 
 /// Sentinel for "no recorded choice" in the flat traceback arena of
@@ -88,9 +88,8 @@ pub fn class_dp(
     let kc = view.len();
     let k_max = oracle.max_replication().min(oracle.num_processors());
 
-    let strides = class_strides(view);
     let num_states = budget_states(view);
-    let patterns = enumerate_patterns(view, k_max, &strides);
+    let patterns = enumerate_patterns(view, k_max);
     assert!(
         patterns.len() < (1 << 32) && n < (1 << 24),
         "packed het traceback supports < 2^32 patterns and n < 2^24"

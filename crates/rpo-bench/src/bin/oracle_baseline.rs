@@ -409,7 +409,7 @@ struct HetKernelComparison {
 }
 
 /// A class-DP kernel: the production chunked one or the scalar reference.
-type ClassDp = fn(&SolveCtx<'_>, Option<f64>, f64) -> Option<OptimalMapping>;
+type ClassDp = fn(&mut SolveCtx<'_>, Option<f64>, f64) -> Option<OptimalMapping>;
 
 fn run_het_kernel_comparison() -> HetKernelComparison {
     let mut generator = InstanceGenerator::paper_heterogeneous_classes(0x0AC1E);
@@ -448,16 +448,17 @@ fn run_het_kernel_comparison() -> HetKernelComparison {
     let mut measure = |kernel: ClassDp| {
         time_median(HET_KERNEL_REPS, || {
             for (oracle, chain, platform, bound, incumbent) in &cases {
-                let ctx = SolveCtx::new(chain, platform, oracle, &mut scratch);
-                std::hint::black_box(kernel(&ctx, Some(*bound), *incumbent));
+                let mut ctx = SolveCtx::new(chain, platform, oracle, &mut scratch);
+                std::hint::black_box(kernel(&mut ctx, Some(*bound), *incumbent));
             }
         })
     };
-    comparison.scalar_millis = measure(reference::class_dp);
+    comparison.scalar_millis =
+        measure(|ctx, bound, incumbent| reference::class_dp(ctx, bound, incumbent));
     comparison.chunked_millis = measure(|ctx, bound, incumbent| ctx.class_dp(bound, incumbent));
     comparison.speedup = comparison.scalar_millis / comparison.chunked_millis;
     for (oracle, chain, platform, bound, incumbent) in &cases {
-        let ctx = SolveCtx::new(chain, platform, oracle, &mut scratch);
+        let mut ctx = SolveCtx::new(chain, platform, oracle, &mut scratch);
         comparison.bit_identical &= same_solution(
             &reference::class_dp(&ctx, Some(*bound), *incumbent),
             &ctx.class_dp(Some(*bound), *incumbent),
@@ -537,7 +538,7 @@ fn run_het_baseline(het_kernel: HetKernelComparison) -> HetBaseline {
         baseline.max_replication = platform.max_replication();
         let oracle = IntervalOracle::new(chain, platform);
         let mut scratch = DpScratch::new();
-        let ctx = SolveCtx::new(chain, platform, &oracle, &mut scratch);
+        let mut ctx = SolveCtx::new(chain, platform, &oracle, &mut scratch);
         baseline.classes = oracle.classes().len();
         let bound = period_slack * chain.total_work() / platform.max_speed();
 

@@ -353,7 +353,7 @@ pub fn run_het_dp_sweep(options: &SweepOptions) -> ExperimentData {
             let platform = &instance.heterogeneous;
             let oracle = IntervalOracle::new(&instance.chain, platform);
             let mut scratch = DpScratch::new();
-            let ctx = SolveCtx::new(&instance.chain, platform, &oracle, &mut scratch);
+            let mut ctx = SolveCtx::new(&instance.chain, platform, &oracle, &mut scratch);
             let mut dp = Vec::with_capacity(num_points);
             let mut greedy = Vec::with_capacity(num_points);
             for &x in &x_values {

@@ -15,7 +15,8 @@
 //!   with exact-rank p50/p95/p99/p999 extraction. Counter and histogram
 //!   state is sharded per thread and merged on [`Registry::snapshot`], so
 //!   the hot path is an unsynchronized increment on the calling thread's
-//!   own slot.
+//!   own slot. An exiting thread's slots fold into retired totals, so
+//!   thread churn does not grow the registry.
 //! - [`SpanRecorder`] — RAII [`span!`] guards recording wall time, self
 //!   time (minus child spans), and typed user fields into a bounded ring
 //!   buffer, exported as JSONL or collapsed stacks. Every finished span
@@ -35,7 +36,8 @@
 //!   unsynchronized (`Relaxed` load + store) bump of a thread-private
 //!   slot — no locked instructions, no cross-thread cache-line traffic.
 //!   Locks are confined to handle registration, a thread's first touch of
-//!   a metric, snapshotting, and span completion (ring push).
+//!   a metric, a thread's exit, snapshotting, and span completion (ring
+//!   push).
 //!
 //! # Example
 //!

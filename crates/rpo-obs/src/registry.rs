@@ -14,6 +14,13 @@
 //! [`Registry::snapshot`], which merges every thread's shard into one
 //! [`MetricsSnapshot`].
 //!
+//! When a thread exits, its shard retires: under the registry mutex, each
+//! of its slots is folded into its metric's retired totals and dropped from
+//! the metric's live list. Snapshots report retired plus live totals, so
+//! every total stays exact, and a process that spawns a thread per
+//! connection or per batch does not grow one slot per metric per thread it
+//! ever ran.
+//!
 //! Counts written before a thread joins (or before any other
 //! happens-before edge to the snapshotting thread) are merged exactly; a
 //! snapshot raced against live writers may lag individual shards by the
@@ -34,7 +41,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Sub-bucket resolution: 2³ = 8 buckets per octave.
@@ -119,11 +126,27 @@ impl Slot {
             Ordering::Relaxed,
         );
     }
+
+    /// Folds `other`'s totals into this slot. Called with the registry
+    /// mutex held, which serializes every writer of a retired slot.
+    fn absorb(&self, other: &Slot) {
+        Slot::bump(&self.count, other.count.load(Ordering::Relaxed));
+        Slot::bump(&self.sum, other.sum.load(Ordering::Relaxed));
+        self.min
+            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max
+            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
+            Slot::bump(mine, theirs.load(Ordering::Relaxed));
+        }
+    }
 }
 
 enum Store {
-    /// Per-thread slots, merged on snapshot (counters and histograms).
-    Sharded(Vec<Arc<Slot>>),
+    /// Per-thread slots of the live threads, merged on snapshot with the
+    /// totals of the threads that already exited (counters and
+    /// histograms).
+    Sharded { live: Vec<Arc<Slot>>, retired: Slot },
     /// One shared cell holding `f64` bits, last-write-wins (gauges).
     Gauge(Arc<AtomicU64>),
 }
@@ -163,7 +186,33 @@ impl Default for Registry {
 
 struct ThreadShard {
     registry: u64,
+    /// The registry, to retire the slots into when the thread exits.
+    core: Weak<RegistryCore>,
     slots: Vec<Option<Arc<Slot>>>,
+}
+
+impl Drop for ThreadShard {
+    /// The owning thread is exiting: fold each of its slots into the
+    /// metric's retired totals and drop it from the live list. A dropped
+    /// registry has nothing to retire into.
+    fn drop(&mut self) {
+        let Some(core) = self.core.upgrade() else {
+            return;
+        };
+        // Never panic in a thread-local destructor: a poisoned lock still
+        // guards consistent slot lists (no code path panics mid-update).
+        let mut inner = core
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for (id, slot) in self.slots.iter().enumerate() {
+            let Some(slot) = slot else { continue };
+            if let Store::Sharded { live, retired } = &mut inner.metrics[id].store {
+                retired.absorb(slot);
+                live.retain(|other| !Arc::ptr_eq(other, slot));
+            }
+        }
+    }
 }
 
 thread_local! {
@@ -220,7 +269,10 @@ impl Registry {
         let id = inner.metrics.len();
         let store = match kind {
             Kind::Gauge => Store::Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))),
-            _ => Store::Sharded(Vec::new()),
+            _ => Store::Sharded {
+                live: Vec::new(),
+                retired: Slot::new(kind),
+            },
         };
         inner.metrics.push(Metric {
             name: name.to_string(),
@@ -270,6 +322,7 @@ impl Registry {
                 None => {
                     shards.push(ThreadShard {
                         registry: self.core.id,
+                        core: Arc::downgrade(&self.core),
                         slots: Vec::new(),
                     });
                     shards.last_mut().expect("just pushed")
@@ -286,7 +339,7 @@ impl Registry {
                 let metric = &mut inner.metrics[id];
                 let slot = Arc::new(Slot::new(metric.kind));
                 match &mut metric.store {
-                    Store::Sharded(slots) => slots.push(Arc::clone(&slot)),
+                    Store::Sharded { live, .. } => live.push(Arc::clone(&slot)),
                     Store::Gauge(_) => unreachable!("gauges never take thread slots"),
                 }
                 slot
@@ -306,9 +359,11 @@ impl Registry {
                     name: metric.name.clone(),
                     value: f64::from_bits(cell.load(Ordering::Relaxed)),
                 }),
-                (Store::Sharded(slots), Kind::Counter) => {
-                    let value = slots
+                (Store::Sharded { live, retired }, Kind::Counter) => {
+                    let value = live
                         .iter()
+                        .map(|s| &**s)
+                        .chain([retired])
                         .map(|s| s.count.load(Ordering::Relaxed))
                         .fold(0u64, u64::wrapping_add);
                     snapshot.counters.push(CounterSnapshot {
@@ -316,11 +371,11 @@ impl Registry {
                         value,
                     });
                 }
-                (Store::Sharded(slots), _) => {
+                (Store::Sharded { live, retired }, _) => {
                     let (mut count, mut sum) = (0u64, 0u64);
                     let (mut min, mut max) = (u64::MAX, 0u64);
                     let mut buckets = vec![0u64; NUM_BUCKETS];
-                    for slot in slots {
+                    for slot in live.iter().map(|s| &**s).chain([retired]) {
                         count = count.wrapping_add(slot.count.load(Ordering::Relaxed));
                         sum = sum.wrapping_add(slot.sum.load(Ordering::Relaxed));
                         min = min.min(slot.min.load(Ordering::Relaxed));
@@ -772,6 +827,52 @@ mod tests {
             }
         });
         assert_eq!(snapshot, registry2.snapshot());
+    }
+
+    impl Registry {
+        /// Number of live thread slots of metric `name`.
+        fn live_slots(&self, name: &str) -> usize {
+            let inner = self.core.inner.lock().unwrap();
+            match &inner.metrics[inner.index[name]].store {
+                Store::Sharded { live, .. } => live.len(),
+                Store::Gauge(_) => 0,
+            }
+        }
+    }
+
+    #[test]
+    fn exited_threads_retire_their_slots_and_keep_exact_totals() {
+        let registry = Registry::new();
+        let counter = registry.counter("hits");
+        let histogram = registry.histogram("latency");
+        const THREADS: u64 = 200;
+        // One thread at a time: each exits before the next is spawned.
+        for t in 0..THREADS {
+            let counter = counter.clone();
+            let histogram = histogram.clone();
+            std::thread::spawn(move || {
+                counter.add(t + 1);
+                histogram.record_nanos(t + 1);
+            })
+            .join()
+            .unwrap();
+            assert_eq!(registry.live_slots("hits"), 0, "thread {t}'s slot retired");
+            assert_eq!(registry.live_slots("latency"), 0);
+        }
+        // This thread stays live: its slot is merged alongside the retired
+        // totals.
+        counter.add(1000);
+        assert_eq!(registry.live_slots("hits"), 1);
+        let snapshot = registry.snapshot();
+        assert_eq!(
+            snapshot.counter_value("hits"),
+            Some(THREADS * (THREADS + 1) / 2 + 1000)
+        );
+        let h = snapshot.histogram("latency").unwrap();
+        assert_eq!(h.count, THREADS);
+        assert_eq!(h.sum_nanos, THREADS * (THREADS + 1) / 2);
+        assert_eq!((h.min_nanos, h.max_nanos), (1, THREADS));
+        assert_eq!(h.buckets.iter().map(|b| b.count).sum::<u64>(), THREADS);
     }
 
     #[test]

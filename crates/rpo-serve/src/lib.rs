@@ -59,4 +59,4 @@ pub mod wire;
 
 pub use proto::{ResponseStatus, ServeRequest, ServeResponse};
 pub use service::{Responder, ServeConfig, ServeStats, SolverService, Ticket};
-pub use wire::{serve_lines, TcpServer};
+pub use wire::{serve_lines, TcpServer, MAX_LINE_BYTES};

@@ -3,11 +3,16 @@
 
 use crate::proto::{ResponseStatus, ServeRequest, ServeResponse};
 use crate::service::SolverService;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+
+/// Longest request line [`serve_lines`] accepts, in bytes, not counting
+/// its newline. A longer line gets one `invalid` response and is discarded
+/// as it streams past; it is never buffered whole.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Serves one JSON-lines connection: reads a request per line from
 /// `reader`, writes one response line per request to `writer` (responses
@@ -16,20 +21,38 @@ use std::thread::JoinHandle;
 /// through this call may still be settling when it returns, so callers own
 /// the service lifecycle (drain via [`SolverService::shutdown`]).
 ///
-/// Unparseable lines get a [`ResponseStatus::Invalid`] response with id 0;
-/// blank lines are ignored.
+/// Unparseable lines — malformed JSON, bytes that are not UTF-8, or lines
+/// longer than [`MAX_LINE_BYTES`] — get a [`ResponseStatus::Invalid`]
+/// response with id 0, and the next line is served as usual; blank lines
+/// are ignored. Only an I/O error of the reader ends the stream early.
 pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
     service: &SolverService,
-    reader: R,
+    mut reader: R,
     writer: W,
 ) -> std::io::Result<()> {
     let writer = Arc::new(Mutex::new(writer));
-    for line in reader.lines() {
-        let line = line?;
+    let invalid = |error: String| {
+        write_response(
+            &writer,
+            &ServeResponse::rejection(0, ResponseStatus::Invalid, error),
+        );
+    };
+    let mut bytes = Vec::new();
+    while let Some(fits) = read_line_bounded(&mut reader, &mut bytes)? {
+        if !fits {
+            invalid(format!(
+                "request line exceeds the {MAX_LINE_BYTES}-byte limit"
+            ));
+            continue;
+        }
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            invalid("request line is not valid UTF-8".to_string());
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match serde_json::from_str::<ServeRequest>(&line) {
+        match serde_json::from_str::<ServeRequest>(line) {
             Ok(request) => {
                 let sink = Arc::clone(&writer);
                 service.submit_with(
@@ -39,19 +62,38 @@ pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
                     }),
                 );
             }
-            Err(error) => {
-                write_response(
-                    &writer,
-                    &ServeResponse::rejection(
-                        0,
-                        ResponseStatus::Invalid,
-                        format!("unparseable request: {error}"),
-                    ),
-                );
-            }
+            Err(error) => invalid(format!("unparseable request: {error}")),
         }
     }
     Ok(())
+}
+
+/// Reads the next line of `reader` into `line`, without its `\n` or
+/// `\r\n` ending. Returns `None` at end of input, `Some(true)` for a line
+/// of at most [`MAX_LINE_BYTES`] bytes, and `Some(false)` for a longer one,
+/// whose bytes are skipped up to and including its newline (`line` is left
+/// empty then).
+fn read_line_bounded<R: BufRead>(
+    reader: &mut R,
+    line: &mut Vec<u8>,
+) -> std::io::Result<Option<bool>> {
+    line.clear();
+    // One byte past the cap tells a line over it from a line exactly at it.
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_LINE_BYTES {
+        line.clear();
+        reader.skip_until(b'\n')?;
+        return Ok(Some(false));
+    }
+    Ok(Some(true))
 }
 
 /// Writes one response as a single newline-terminated line in **one**

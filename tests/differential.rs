@@ -60,8 +60,17 @@ fn random_chain(rng: &mut ChaCha8Rng, max_tasks: usize) -> TaskChain {
 /// A random class-structured platform: `classes ≤ 3` distinct
 /// `(speed, failure rate)` classes over `2..=max_processors` processors.
 fn random_class_platform(rng: &mut ChaCha8Rng, max_processors: usize) -> Platform {
+    random_platform_with_classes(rng, max_processors, 1)
+}
+
+/// [`random_class_platform`] with at least `min_classes` (≤ 2) classes.
+fn random_platform_with_classes(
+    rng: &mut ChaCha8Rng,
+    max_processors: usize,
+    min_classes: usize,
+) -> Platform {
     let p = rng.gen_range(2usize..=max_processors);
-    let classes = rng.gen_range(1usize..=3.min(p));
+    let classes = rng.gen_range(min_classes..=3.min(p));
     let class_specs: Vec<(f64, f64)> = (0..classes)
         .map(|_| {
             (
@@ -131,6 +140,99 @@ fn algo_het_lat_matches_exhaustive_on_small_latency_bounded_instances() {
             ),
         }
     });
+}
+
+#[test]
+fn algo_het_lat_matches_exhaustive_on_tight_bounds_and_exactly_at_the_optimum() {
+    // Tight latency slacks are where the suffix-floor cut prunes hardest; a
+    // bound equal to the optimum's own latency is where a cut that is off
+    // by one rounding would lose the optimum.
+    let mut feasible = [0usize; 2];
+    for_random_cases(
+        "algo_het_lat == exhaustive_het_lat, tight",
+        0xD1FF_2000,
+        |rng| {
+            let chain = random_chain(rng, 8);
+            let platform = random_platform_with_classes(rng, 6, 2);
+            let latency = rng.gen_range(1.0..1.3) * chain.total_work() / platform.max_speed();
+            let period = rng.gen_range(0.5..1.3) * chain.total_work() / platform.max_speed();
+            for (branch, period) in [None, Some(period)].into_iter().enumerate() {
+                if tight_case_agrees(&chain, &platform, period, latency) {
+                    feasible[branch] += 1;
+                }
+            }
+        },
+    );
+    // Both branches must exercise the exact-bound re-solve, not only the
+    // infeasible agreement.
+    assert!(
+        feasible.iter().all(|&count| count >= 10),
+        "feasible cases per branch (no period, period): {feasible:?}"
+    );
+}
+
+/// One case of the tight-bound battery: `algo_het_lat` and
+/// `exhaustive_het_lat` agree under `(period, latency)`, and again under the
+/// latency bound set exactly to the exhaustive optimum's worst-case
+/// latency. Returns whether the case was feasible.
+fn tight_case_agrees(
+    chain: &TaskChain,
+    platform: &Platform,
+    period: Option<f64>,
+    latency: f64,
+) -> bool {
+    let oracle = IntervalOracle::new(chain, platform);
+    assert!(
+        het_dp_applicable(&oracle),
+        "2–3 classes over ≤ 6 processors"
+    );
+    let mut scratch = DpScratch::new();
+    let mut ctx = SolveCtx::new(chain, platform, &oracle, &mut scratch);
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.max(b);
+    let (dp, brute) = match (
+        ctx.algo_het_lat(period, latency),
+        exhaustive_het_lat(chain, platform, period, latency),
+    ) {
+        (Ok(dp), Ok(brute)) => (dp, brute),
+        (Err(a), Err(b)) => {
+            assert_eq!(a, b);
+            return false;
+        }
+        (dp, brute) => panic!(
+            "feasibility mismatch under ({period:?}, {latency}): algo_het_lat {} vs \
+             exhaustive {}",
+            dp.is_ok(),
+            brute.is_ok()
+        ),
+    };
+    assert!(
+        close(dp.reliability, brute.reliability),
+        "bounds ({period:?}, {latency}): algo_het_lat {} vs exhaustive {}",
+        dp.reliability,
+        brute.reliability
+    );
+    assert!(dp.worst_case_latency <= latency);
+
+    // The optimum still fits a bound equal to its own latency, and the DP
+    // must still find it.
+    let at = MappingEvaluation::evaluate(chain, platform, &brute.mapping).worst_case_latency;
+    let dp_at = ctx
+        .algo_het_lat(period, at)
+        .unwrap_or_else(|e| panic!("bound {at} = the optimum's latency: {e:?}"));
+    let brute_at =
+        exhaustive_het_lat(chain, platform, period, at).expect("the optimum fits its own latency");
+    assert!(
+        close(dp_at.reliability, brute_at.reliability),
+        "bound at the optimum ({period:?}, {at}): algo_het_lat {} vs exhaustive {}",
+        dp_at.reliability,
+        brute_at.reliability
+    );
+    assert!(
+        close(dp_at.reliability, brute.reliability),
+        "tightening the bound to the optimum's latency lost the optimum"
+    );
+    assert!(dp_at.worst_case_latency <= at);
+    true
 }
 
 #[test]

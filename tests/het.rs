@@ -125,7 +125,7 @@ fn algo_het_is_never_below_greedy_and_respects_the_bound() {
         let platform = &instance.heterogeneous;
         let oracle = IntervalOracle::new(chain, platform);
         let mut scratch = DpScratch::new();
-        let ctx = SolveCtx::new(chain, platform, &oracle, &mut scratch);
+        let mut ctx = SolveCtx::new(chain, platform, &oracle, &mut scratch);
         let mut rng = ChaCha8Rng::seed_from_u64(0x0C1A_5600 + index as u64);
         let bound = period_bound(&mut rng, chain, platform);
         let greedy = ctx.greedy_het(Some(bound));
@@ -213,7 +213,7 @@ fn chunked_class_dp_matches_the_scalar_kernel_mapping_for_mapping() {
             "≤ 3 classes over ≤ 8 processors"
         );
         let mut scratch = DpScratch::new();
-        let ctx = SolveCtx::new(&chain, &platform, &oracle, &mut scratch);
+        let mut ctx = SolveCtx::new(&chain, &platform, &oracle, &mut scratch);
         let bound = if rng.gen_bool(0.3) {
             None
         } else {
@@ -254,7 +254,7 @@ fn chunked_class_dp_matches_the_scalar_kernel_mapping_for_mapping() {
     for (index, instance) in generator.batch(20).into_iter().enumerate() {
         let oracle = IntervalOracle::new(&instance.chain, &instance.heterogeneous);
         let mut scratch = DpScratch::new();
-        let ctx = SolveCtx::new(
+        let mut ctx = SolveCtx::new(
             &instance.chain,
             &instance.heterogeneous,
             &oracle,

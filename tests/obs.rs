@@ -8,7 +8,9 @@
 //! per-batch delta embedded in a [`BatchReport`].
 
 use pipelined_rt::obs::{self, Registry, SpanRecorder};
-use pipelined_rt::portfolio::{BatchConfig, BatchDriver, BatchReport, PortfolioEngine};
+use pipelined_rt::portfolio::{
+    BatchConfig, BatchDriver, BatchReport, PortfolioEngine, ProblemInstance,
+};
 use pipelined_rt::workload::InstanceGenerator;
 use std::sync::Mutex;
 
@@ -227,6 +229,53 @@ fn het_lat_label_arenas_are_pooled_through_the_scratch() {
     // pooled allocations through the shared scratch (hits).
     assert_eq!(delta.counter_value("het_lat.label_pool.misses"), Some(1));
     assert_eq!(delta.counter_value("het_lat.label_pool.hits"), Some(2));
+}
+
+#[test]
+fn het_lat_batch_reports_where_the_label_dp_work_went() {
+    let _guard = BATCH_LOCK
+        .lock()
+        .unwrap_or_else(|poison| poison.into_inner());
+    const INSTANCES: usize = 6;
+    let instances: Vec<ProblemInstance> = InstanceGenerator::paper_het_lat_stream(0x1A7, INSTANCES)
+        .map(|bounded| {
+            ProblemInstance::new(
+                bounded.instance.chain,
+                bounded.instance.heterogeneous,
+                bounded.period_bound,
+                bounded.latency_bound,
+            )
+            .expect("generated bounds are valid")
+        })
+        .collect();
+    let engine = PortfolioEngine::default().with_threads(1);
+    let driver = BatchDriver::new(BatchConfig {
+        workers: 1,
+        heterogeneous: true,
+        ..BatchConfig::default()
+    });
+    let report = driver.run_instances(&engine, instances);
+    assert_eq!(report.instances, INSTANCES);
+    let metrics = &report.metrics;
+    let counter = |name: &str| {
+        metrics
+            .counter_value(name)
+            .unwrap_or_else(|| panic!("missing {name} in the embedded delta"))
+    };
+    // Every label-DP solve consults the shape-keyed pattern table once; one
+    // worker's pooled scratch rebuilds it only when the class shape changes.
+    let (hits, misses) = (
+        counter("het_lat.pattern_table.hits"),
+        counter("het_lat.pattern_table.misses"),
+    );
+    assert!(
+        hits + misses >= INSTANCES as u64,
+        "{hits} hits, {misses} misses"
+    );
+    assert!(hits > 0, "same-shape instances reuse the table");
+    // At the stream's latency slack the suffix floor cuts labels on every
+    // instance.
+    assert!(counter("het_lat.labels_cut.floor") > 0);
 }
 
 #[test]

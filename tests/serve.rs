@@ -9,7 +9,8 @@ use pipelined_rt::portfolio::{
     default_backends, Budget, PortfolioEngine, ProblemInstance, RunStatus,
 };
 use pipelined_rt::serve::{
-    serve_lines, ResponseStatus, ServeConfig, ServeRequest, ServeResponse, SolverService, TcpServer,
+    serve_lines, ResponseStatus, ServeConfig, ServeRequest, ServeResponse, SolverService,
+    TcpServer, MAX_LINE_BYTES,
 };
 use pipelined_rt::workload::{GeneratedRequest, InstanceGenerator, RequestSpec};
 use std::collections::HashMap;
@@ -434,6 +435,12 @@ fn stdio_style_serve_lines_round_trip() {
 /// Runs `input` through [`serve_lines`] on a one-worker service and returns
 /// the response lines, parsed.
 fn serve_text(input: &str) -> Vec<ServeResponse> {
+    serve_bytes(input.as_bytes())
+}
+
+/// [`serve_text`] over raw bytes, which need not be UTF-8. Asserts that
+/// [`serve_lines`] returns `Ok`.
+fn serve_bytes(input: &[u8]) -> Vec<ServeResponse> {
     #[derive(Clone)]
     struct SharedSink(Arc<std::sync::Mutex<Vec<u8>>>);
     impl Write for SharedSink {
@@ -454,7 +461,7 @@ fn serve_text(input: &str) -> Vec<ServeResponse> {
         },
     );
     let output = Arc::new(std::sync::Mutex::new(Vec::new()));
-    serve_lines(&service, input.as_bytes(), SharedSink(Arc::clone(&output))).expect("serve loop");
+    serve_lines(&service, input, SharedSink(Arc::clone(&output))).expect("serve loop");
     service.shutdown();
     let text = String::from_utf8(output.lock().unwrap().clone()).expect("utf8 responses");
     text.lines()
@@ -533,6 +540,58 @@ fn a_nesting_bomb_gets_one_invalid_response_and_the_next_line_still_gets_ok() {
         .unwrap()
         .contains("recursion limit"));
     assert_eq!(responses[1].status, ResponseStatus::Ok);
+}
+
+/// Statuses by request id (the invalid-line rejections all carry id 0).
+fn statuses_by_id(responses: &[ServeResponse]) -> Vec<(u64, ResponseStatus)> {
+    let mut statuses: Vec<(u64, ResponseStatus)> =
+        responses.iter().map(|r| (r.id, r.status)).collect();
+    statuses.sort_by_key(|&(id, _)| id);
+    statuses
+}
+
+#[test]
+fn a_non_utf8_line_gets_one_invalid_response_and_the_stream_goes_on() {
+    // This input once ended the whole stream with "stream did not contain
+    // valid UTF-8", and the second request was never answered.
+    let mut input = readme_line(README_CHAIN).into_bytes();
+    input.extend_from_slice(b"\nabc\xff\xfe\n");
+    input.extend_from_slice(
+        readme_line(README_CHAIN)
+            .replacen(r#""id": 1"#, r#""id": 2"#, 1)
+            .as_bytes(),
+    );
+    input.push(b'\n');
+    let responses = serve_bytes(&input);
+    assert_eq!(
+        statuses_by_id(&responses),
+        [
+            (0, ResponseStatus::Invalid),
+            (1, ResponseStatus::Ok),
+            (2, ResponseStatus::Ok)
+        ],
+        "{responses:?}"
+    );
+    let invalid = &responses.iter().find(|r| r.id == 0).unwrap();
+    assert!(invalid.error.as_deref().unwrap().contains("UTF-8"));
+}
+
+#[test]
+fn a_line_over_the_size_cap_gets_one_invalid_response_and_the_next_line_gets_ok() {
+    // A valid request padded with trailing spaces past the cap: still
+    // well-formed JSON, so only the size limit can reject it.
+    let mut padded = readme_line(README_CHAIN);
+    padded.push_str(&" ".repeat(MAX_LINE_BYTES));
+    let next = readme_line(README_CHAIN).replacen(r#""id": 1"#, r#""id": 2"#, 1);
+    let responses = serve_text(&format!("{padded}\n{next}\n"));
+    assert_eq!(
+        statuses_by_id(&responses),
+        [(0, ResponseStatus::Invalid), (2, ResponseStatus::Ok)],
+        "{responses:?}"
+    );
+    assert!(responses[0..2]
+        .iter()
+        .any(|r| r.error.as_deref().is_some_and(|e| e.contains("byte limit"))));
 }
 
 #[test]
